@@ -3,8 +3,9 @@
 Reads a JSON config, runs one regulation experiment on a benchmark plant, and
 writes machine-readable logs: trajectory.csv, blocks.csv, summary.jsonl.
 Exit codes: 0 run terminated, 2 a safety cap was hit, 3 config or solver
-infeasibility. ``verify`` replays the logged inputs against the true plant and
-``check-excitation`` reports the identifiability diagnostics.
+infeasibility. ``verify`` replays the logged inputs against the true plant
+(exit 0 on a match, 1 on a mismatch, 3 when the log is missing or does not fit
+the config) and ``check-excitation`` reports the identifiability diagnostics.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ def load_config(path) -> ExperimentConfig:
     eps_fin = number("eps_fin", 1e-3, positive=True)
     n_max = number("n_max", None, integer=True, minimum=1)
     rho_max = number("rho_max", None, positive=True)
-    seed = number("seed", 0, integer=True)
+    seed = number("seed", 0, integer=True, minimum=0)
     max_blocks = number("max_blocks", 50, integer=True, minimum=0)
     max_inner_retries = number("max_inner_retries", 60, integer=True, minimum=0)
 
@@ -266,17 +267,22 @@ def _write_summary(path: Path, outcome: Optional[RunOutcome], wall_time: float) 
     record = {
         "terminated": bool(outcome.terminated) if outcome else False,
         "blocks": len(outcome.blocks) if outcome else 0,
-        "final_error": float(outcome.final_error) if outcome else None,
+        "final_error": None,
         "wall_time": wall_time,
     }
+    # JSON has no infinity or NaN: a diverged run's error is written as null.
+    if outcome and np.isfinite(outcome.final_error):
+        record["final_error"] = float(outcome.final_error)
     with path.open("w", encoding="utf-8", newline="") as handle:
-        handle.write(json.dumps(record) + "\n")
+        handle.write(json.dumps(record, allow_nan=False) + "\n")
 
 
 def run_experiment(config: ExperimentConfig) -> int:
     """Run one experiment and write its logs; returns the process exit code."""
     if not config.out_dir:
         raise ValidationError(["out_dir: required (set in the config or pass --out)"])
+    if config.seed < 0:
+        raise ValidationError([f"seed: must be >= 0 (got {config.seed})"])
     spec, excitation, bounds = _materialize(config)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -412,7 +418,11 @@ def main(argv=None) -> int:
         if not out_dir:
             print("config error: no output directory given", file=sys.stderr)
             return 3
-        ok = replay_verify(Path(out_dir) / "trajectory.csv", config)
+        try:
+            ok = replay_verify(Path(out_dir) / "trajectory.csv", config)
+        except (FileNotFoundError, ParseError) as err:
+            print(f"config error: {err}", file=sys.stderr)
+            return 3
         print("replay ok" if ok else "replay mismatch")
         return 0 if ok else 1
     return check_excitation(config)

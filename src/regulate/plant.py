@@ -170,13 +170,28 @@ def step(model: PlantModel, x, u, theta) -> np.ndarray:
 
 
 def simulate(model: PlantModel, x0, u_seq: InputSequence, theta) -> StateSequence:
-    """Iterate the plant from x0 under u_seq; returns len(u_seq)+1 states."""
-    x0 = _vector(x0, model.state_dim, "initial state")
-    out = np.empty((len(u_seq) + 1, model.state_dim))
-    out[0] = x0
-    x = x0
-    for i in range(len(u_seq)):
-        x = step(model, x, u_seq.inputs[i], theta)
+    """Iterate the plant from x0 under u_seq; returns len(u_seq)+1 states.
+
+    Equivalent to chaining ``step``, with the arguments checked once per call:
+    only the shape of each transition output is checked inside the loop. The
+    input width and theta are not checked for an empty sequence.
+    """
+    x = _vector(x0, model.state_dim, "initial state")
+    n = len(u_seq)
+    out = np.empty((n + 1, model.state_dim))
+    out[0] = x
+    if n == 0:
+        return StateSequence(u_seq.start_time, out)
+    inputs = u_seq.inputs
+    if inputs.shape[1:] != (model.input_dim,):
+        raise DimensionMismatch(f"input must have shape ({model.input_dim},), got {inputs.shape[1:]}")
+    theta = _vector(theta, model.param_dim, "theta")
+    transition = model.transition
+    shape = (model.state_dim,)
+    for i in range(n):
+        x = np.asarray(transition(x, inputs[i], theta), dtype=float)
+        if x.shape != shape:
+            x = _vector(x, model.state_dim, "transition output")
         out[i + 1] = x
     return StateSequence(u_seq.start_time, out)
 
@@ -207,12 +222,12 @@ def terminal_map(model: PlantModel, x0, u_hist: InputSequence, block: InputSeque
 def fd_jacobian(func, x, step_size: float = 1e-6, lower=None, upper=None) -> np.ndarray:
     """Central-difference Jacobian of func at x, per-coordinate step scaled by
     max(1, |x_i|). When a bound clips one side of the stencil the difference
-    degrades gracefully to a one-sided quotient."""
+    degrades gracefully to a one-sided quotient. func is evaluated at x itself
+    only when the bounds pin every coordinate, to size the zero matrix."""
     if step_size <= 0:
         raise ValueError("step_size must be positive")
     x = np.asarray(x, dtype=float)
-    f0 = np.asarray(func(x), dtype=float).ravel()
-    jac = np.zeros((f0.size, x.size))
+    jac = None
     for i in range(x.size):
         h = step_size * max(1.0, abs(x[i]))
         hi_pt = x[i] + h
@@ -230,7 +245,11 @@ def fd_jacobian(func, x, step_size: float = 1e-6, lower=None, upper=None) -> np.
         xm[i] = lo_pt
         fp = np.asarray(func(xp), dtype=float).ravel()
         fm = np.asarray(func(xm), dtype=float).ravel()
+        if jac is None:
+            jac = np.zeros((fp.size, x.size))
         jac[:, i] = (fp - fm) / denom
+    if jac is None:
+        jac = np.zeros((np.asarray(func(x), dtype=float).size, x.size))
     return jac
 
 

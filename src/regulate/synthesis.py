@@ -100,13 +100,9 @@ def synthesize(
         if winners:
             u_best = min(winners, key=lambda u: float(np.linalg.norm(u)))
             block = block_of(u_best)
-            err = float(
-                np.linalg.norm(
-                    terminal_map(model, history.x0, history.applied_inputs, block, theta)
-                    - model.target
-                )
-            )
-            return ControlPlan(horizon, block, err)
+            # x_here is the history's replay, so this is terminal_map's value.
+            x_end = simulate(model, x_here, block, theta).states[-1]
+            return ControlPlan(horizon, block, float(np.linalg.norm(x_end - model.target)))
     raise Infeasible(
         f"no block of horizon <= {bounds.max_horizon} with amplitude <= {rho} "
         f"reaches the target within {tol}"

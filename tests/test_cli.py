@@ -199,6 +199,39 @@ class TestMain:
         assert main(["check-excitation", "--config", str(config_path)]) == 3
         assert "FAIL" in capsys.readouterr().out
 
+    def test_negative_seed_in_config(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, dict(EXACT_SCALAR, seed=-1))
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "seed" in err
+
+    def test_negative_seed_override(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, EXACT_SCALAR)
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out"), "--seed", "-1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "seed" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_verify_without_trajectory(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, EXACT_SCALAR)
+        (tmp_path / "empty").mkdir()
+        assert main(["verify", "--config", str(config_path), "--out", str(tmp_path / "empty")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "trajectory.csv" in err
+
+    def test_diverged_run_summary_is_strict_json(self, tmp_path):
+        config_path = write_config(tmp_path, dict(EXACT_SCALAR, x0=[1e308]))
+        with np.errstate(all="ignore"):
+            assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 3
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        text = (tmp_path / "out" / "summary.jsonl").read_text(encoding="utf-8")
+        summary = json.loads(text, parse_constant=reject)
+        assert summary["terminated"] is False
+        assert summary["final_error"] is None
+
     def test_seed_override(self, tmp_path):
         config_path = write_config(tmp_path, INEXACT_BILINEAR)
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "s1"), "--seed", "9"]) == 0

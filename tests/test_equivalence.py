@@ -1,0 +1,284 @@
+"""The replay primitives against their step-by-step reference versions.
+
+``simulate`` checks its arguments once per call and ``fd_jacobian`` skips the
+centre point a central difference never uses. Both must reproduce the
+straightforward versions kept here bit for bit: every state, Jacobian entry,
+block record and CSV byte.
+"""
+
+import dataclasses
+import importlib
+import json
+
+import numpy as np
+import pytest
+
+import regulate.cli
+import regulate.plant as plant
+from regulate import ObservationHistory, SynthesisBounds, get_model, synthesize
+from regulate.plant import InputSequence, StateSequence, _vector
+
+PLANTS = ("scalar_linear", "affine_2d", "bilinear_scalar")
+
+# theta_true and x0 of the end-to-end runs: stable enough that a 200-step
+# random tail stays bounded.
+CASES = {
+    "scalar_linear": ([0.8], [1.0]),
+    "affine_2d": ([0.5, 0.25], [1.0, 0.0]),
+    "bilinear_scalar": ([0.8, 0.3], [1.0]),
+}
+
+
+def reference_simulate(model, x0, u_seq, theta):
+    """Every transition through ``step``, which checks x, u and theta."""
+    x0 = _vector(x0, model.state_dim, "initial state")
+    out = np.empty((len(u_seq) + 1, model.state_dim))
+    out[0] = x0
+    x = x0
+    for i in range(len(u_seq)):
+        x = plant.step(model, x, u_seq.inputs[i], theta)
+        out[i + 1] = x
+    return StateSequence(u_seq.start_time, out)
+
+
+def reference_fd_jacobian(func, x, step_size=1e-6, lower=None, upper=None):
+    """Central differences, sized from an evaluation at the centre."""
+    if step_size <= 0:
+        raise ValueError("step_size must be positive")
+    x = np.asarray(x, dtype=float)
+    f0 = np.asarray(func(x), dtype=float).ravel()
+    jac = np.zeros((f0.size, x.size))
+    for i in range(x.size):
+        h = step_size * max(1.0, abs(x[i]))
+        hi_pt = x[i] + h
+        lo_pt = x[i] - h
+        if upper is not None:
+            hi_pt = min(hi_pt, upper[i])
+        if lower is not None:
+            lo_pt = max(lo_pt, lower[i])
+        denom = hi_pt - lo_pt
+        if denom == 0.0:
+            continue
+        xp = x.copy()
+        xp[i] = hi_pt
+        xm = x.copy()
+        xm[i] = lo_pt
+        fp = np.asarray(func(xp), dtype=float).ravel()
+        fm = np.asarray(func(xm), dtype=float).ravel()
+        jac[:, i] = (fp - fm) / denom
+    return jac
+
+
+LOOKUP_MODULES = (
+    "regulate.plant",
+    "regulate.estimator",
+    "regulate.regulator",
+    "regulate.synthesis",
+    "regulate.cli",
+)
+REFERENCES = {"simulate": reference_simulate, "fd_jacobian": reference_fd_jacobian}
+
+
+def install_references(monkeypatch) -> set:
+    """Put the references in at every name the library looks them up by."""
+    patched = set()
+    for module_name in LOOKUP_MODULES:
+        module = importlib.import_module(module_name)
+        for attr, reference in REFERENCES.items():
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, reference)
+                patched.add(f"{module_name}.{attr}")
+    return patched
+
+
+def assert_same(new, ref, what):
+    if ref is None:
+        assert new is None, what
+    else:
+        assert np.array_equal(np.asarray(new), np.asarray(ref), equal_nan=True), what
+
+
+def test_references_cover_every_lookup_name(monkeypatch):
+    # A new import of either function elsewhere must join this list, or the
+    # end-to-end cases below would run it unreplaced.
+    assert install_references(monkeypatch) == {
+        "regulate.plant.simulate",
+        "regulate.plant.fd_jacobian",
+        "regulate.regulator.simulate",
+        "regulate.regulator.fd_jacobian",
+        "regulate.synthesis.simulate",
+        "regulate.cli.simulate",
+    }
+
+
+def test_simulate_no_longer_goes_through_step(monkeypatch):
+    calls = []
+    step = plant.step
+    monkeypatch.setattr(plant, "step", lambda *args: calls.append(1) or step(*args))
+    model = get_model("bilinear_scalar").model
+    u_seq = InputSequence(0, np.array([[0.1], [0.2], [0.3]]))
+    plant.jacobian_theta(model, [1.0], u_seq, [0.8, 0.3])
+    assert calls == []
+    with monkeypatch.context() as m:
+        install_references(m)
+        plant.jacobian_theta(model, [1.0], u_seq, [0.8, 0.3])
+    assert len(calls) == 5 * len(u_seq)  # the centre and four stencil points
+
+
+def _primitive_cases(model, rng):
+    """Random states, inputs and parameters, with parameters on the box's
+    faces so that the stencils are clipped one-sided."""
+    lo, hi = model.param_lower, model.param_upper
+    thetas = [rng.uniform(lo, hi) for _ in range(6)]
+    thetas += [lo.copy(), hi.copy(), np.where(rng.random(lo.size) < 0.5, lo, hi)]
+    cases = []
+    for theta in thetas:
+        T = int(rng.integers(1, 40))
+        horizon = int(rng.integers(1, 4))
+        cases.append((
+            rng.uniform(-2.0, 2.0, model.state_dim),
+            InputSequence(0, rng.uniform(-1.0, 1.0, (T, model.input_dim))),
+            InputSequence(T, rng.uniform(-1.0, 1.0, (horizon, model.input_dim))),
+            theta,
+        ))
+    return cases
+
+
+def _primitives(model, cases):
+    out = []
+    for x0, hist, block, theta in cases:
+        out.append({
+            "simulate": plant.simulate(model, x0, hist, theta).states,
+            "stacked_map": plant.stacked_map(model, x0, hist, theta),
+            "terminal_map": plant.terminal_map(model, x0, hist, block, theta),
+            "jacobian_theta": plant.jacobian_theta(model, x0, hist, theta),
+            "jacobian_input": plant.jacobian_input(model, x0, block, theta),
+        })
+    return out
+
+
+def _models(name):
+    """The plant, and for two parameters a copy with the first one pinned."""
+    model = get_model(name).model
+    models = [model]
+    if model.param_dim == 2:
+        box = model.param_box.copy()
+        box[0, 1] = box[0, 0]
+        models.append(dataclasses.replace(model, param_box=box))
+    return models
+
+
+@pytest.mark.parametrize("name", PLANTS)
+def test_primitives_match_reference(name, monkeypatch):
+    rng = np.random.default_rng([14, PLANTS.index(name)])
+    for model in _models(name):
+        cases = _primitive_cases(model, rng)
+        new = _primitives(model, cases)
+        with monkeypatch.context() as m:
+            install_references(m)
+            ref = _primitives(model, cases)
+        for i, (a, b) in enumerate(zip(new, ref)):
+            for key in a:
+                assert_same(a[key], b[key], f"{name} case {i}: {key}")
+
+
+def test_overflowing_replay_matches_reference(monkeypatch):
+    # The estimator replays unstable guesses; inf and nan must come out alike.
+    model = get_model("scalar_linear").model
+    hist = InputSequence(0, np.full((1200, 1), 0.5))
+    with np.errstate(all="ignore"):
+        new = (plant.stacked_map(model, [1.0], hist, [2.0]), plant.jacobian_theta(model, [1.0], hist, [1.9]))
+        with monkeypatch.context() as m:
+            install_references(m)
+            ref = (plant.stacked_map(model, [1.0], hist, [2.0]), plant.jacobian_theta(model, [1.0], hist, [1.9]))
+    assert not np.all(np.isfinite(new[0]))
+    assert_same(new[0], ref[0], "stacked_map")
+    assert_same(new[1], ref[1], "jacobian_theta")
+
+
+@pytest.mark.parametrize("name", PLANTS)
+def test_predicted_error_is_the_full_replay(name):
+    # synthesize reuses its replay of the history; terminal_map replays it again.
+    spec = get_model(name)
+    model = spec.model
+    rng = np.random.default_rng([14, 3, PLANTS.index(name)])
+    theta_true, x0 = CASES[name]
+    for _ in range(5):
+        inputs = rng.uniform(-0.3, 0.3, (int(rng.integers(0, 30)), model.input_dim))
+        states = plant.simulate(model, x0, InputSequence(0, inputs), theta_true).states
+        history = ObservationHistory(x0, InputSequence(0, inputs), StateSequence(1, states[1:]))
+        theta = model.clip_params(theta_true + rng.normal(0.0, 0.05, model.param_dim))
+        bounds = SynthesisBounds(spec.bounds.max_horizon, 10.0)
+        plan = synthesize(model, history, theta, bounds, 1e-9, seed=int(rng.integers(100)))
+        full = plant.terminal_map(model, history.x0, history.applied_inputs, plan.block, theta)
+        assert plan.predicted_terminal_error == float(np.linalg.norm(full - model.target))
+
+
+def _config(name, algorithm):
+    spec = get_model(name)
+    theta_true, x0 = CASES[name]
+    config = {"model": name, "theta_true": theta_true, "x0": x0, "algorithm": algorithm, "seed": 5}
+    if algorithm == "inexact":
+        rho = spec.bounds.max_amplitude
+        tail = np.random.default_rng([14, PLANTS.index(name)]).uniform(
+            -rho / 2, rho / 2, (200, spec.model.input_dim))
+        config["excitation"] = np.vstack([spec.excitation.inputs, tail]).tolist()
+        config.update(beta=0.5, mu0=1.0, kappa0=1.0, eps_fin=1e-3)
+    return config
+
+
+def _run_cli(tmp_path, config, tag, monkeypatch):
+    """One CLI run; returns the RunOutcome it logged and the log files."""
+    outcomes = []
+    for attr in ("run_exact", "run_inexact"):
+        runner = getattr(regulate.cli, attr)
+
+        def recorded(*args, _runner=runner, **kwargs):
+            outcome = _runner(*args, **kwargs)
+            outcomes.append(outcome)
+            return outcome
+
+        monkeypatch.setattr(regulate.cli, attr, recorded)
+    config_path = tmp_path / f"{tag}.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / tag
+    assert regulate.cli.main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.jsonl").read_text(encoding="utf-8"))
+    del summary["wall_time"]
+    logs = {name: (out / name).read_bytes() for name in ("trajectory.csv", "blocks.csv")}
+    return outcomes[0], logs, summary
+
+
+def _outcome_arrays(outcome):
+    arrays = {
+        "terminated": outcome.terminated,
+        "trajectory": outcome.trajectory.states,
+        "inputs": outcome.inputs.inputs,
+        "final_error": outcome.final_error,
+    }
+    for rec in outcome.blocks:
+        for field in dataclasses.fields(rec):
+            value = getattr(rec, field.name)
+            if isinstance(value, InputSequence):
+                arrays[f"block {rec.index} {field.name}.start_time"] = value.start_time
+                value = value.inputs
+            arrays[f"block {rec.index} {field.name}"] = value
+    return arrays
+
+
+@pytest.mark.parametrize("algorithm", ["exact", "inexact"])
+@pytest.mark.parametrize("name", PLANTS)
+def test_end_to_end_matches_reference(name, algorithm, tmp_path, monkeypatch):
+    config = _config(name, algorithm)
+    with monkeypatch.context() as m:
+        outcome, logs, summary = _run_cli(tmp_path, config, "new", m)
+    with monkeypatch.context() as m:
+        install_references(m)
+        ref_outcome, ref_logs, ref_summary = _run_cli(tmp_path, config, "ref", m)
+    assert outcome.blocks, "the run must apply at least one block"
+    new, ref = _outcome_arrays(outcome), _outcome_arrays(ref_outcome)
+    assert new.keys() == ref.keys()
+    for key in new:
+        assert_same(new[key], ref[key], key)
+    assert logs == ref_logs
+    assert summary == ref_summary

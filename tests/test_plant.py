@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from regulate import (
     DimensionMismatch,
     InputSequence,
+    PlantModel,
     controllability_rank_check,
     excitation_rank_check,
     get_model,
@@ -78,6 +79,42 @@ class TestSimulate:
                 tail = simulate(model, head.states[-1], seq(u_b, model.input_dim, start=3), theta)
                 glued = np.vstack([head.states, tail.states[1:]])
                 assert_allclose(whole.states, glued, rtol=1e-12, atol=0)
+
+    def test_wrong_input_width(self):
+        with pytest.raises(DimensionMismatch, match="input must have shape"):
+            simulate(AFFINE, [1.0, 0.0], seq([0.5, 0.5]), [0.5, 0.25])
+
+    def test_wrong_theta_length(self):
+        with pytest.raises(DimensionMismatch, match="theta must have shape"):
+            simulate(SCALAR, [1.0], seq([0.5]), [0.8, 0.1])
+
+    def test_wrong_initial_state(self):
+        with pytest.raises(DimensionMismatch, match="initial state"):
+            simulate(AFFINE, [1.0], seq([[0.0, 0.0]], dim=2), [0.5, 0.25])
+
+    def test_transition_output_checked_on_every_step(self):
+        # Well-formed while x < 1.5, so only the second step returns two entries.
+        def f(x, u, th):
+            return x + u if x[0] < 1.5 else np.array([x[0], x[0]])
+
+        model = PlantModel(1, 1, 1, f, [[0.0, 1.0]], [0.0])
+        assert_allclose(simulate(model, [1.0], seq([1.0]), [0.5]).states.ravel(), [1.0, 2.0])
+        with pytest.raises(DimensionMismatch, match="transition output"):
+            simulate(model, [1.0], seq([1.0, 0.0]), [0.5])
+
+    def test_scalar_transition_output_accepted(self):
+        model = PlantModel(1, 1, 1, lambda x, u, th: th[0] * x[0] + u[0], [[0.5, 2.0]], [0.0])
+        out = simulate(model, [1.0], seq([0.5, -1.04]), [0.8])
+        assert out.states.shape == (3, 1)
+        assert np.array_equal(out.states, simulate(SCALAR, [1.0], seq([0.5, -1.04]), [0.8]).states)
+
+    def test_empty_sequence_checks_only_the_initial_state(self):
+        # No transition runs, so the input width and theta go unchecked.
+        out = simulate(AFFINE, [1.0, 2.0], InputSequence.empty(1, start_time=4), [9.0])
+        assert out.start_time == 4
+        assert np.array_equal(out.states, [[1.0, 2.0]])
+        with pytest.raises(DimensionMismatch):
+            simulate(AFFINE, [1.0], InputSequence.empty(2), [0.5, 0.25])
 
 
 class TestStackedMap:
@@ -245,3 +282,23 @@ class TestFdJacobian:
     def test_degenerate_box_gives_zero_column(self):
         jac = fd_jacobian(lambda v: v, np.array([1.0]), lower=np.array([1.0]), upper=np.array([1.0]))
         assert_allclose(jac, [[0.0]])
+
+    def test_centre_evaluated_only_when_every_coordinate_is_pinned(self):
+        points = []
+
+        def f(v):
+            points.append(v.copy())
+            return np.array([v[0] * v[1], v[0], 2.0])
+
+        x = np.array([1.0, 2.0])
+        jac = fd_jacobian(f, x)
+        assert len(points) == 4 and not any(np.array_equal(p, x) for p in points)
+        assert_allclose(jac, [[2.0, 1.0], [1.0, 0.0], [0.0, 0.0]], atol=1e-8)
+        points.clear()
+        jac = fd_jacobian(f, x, lower=np.array([1.0, 0.0]), upper=np.array([1.0, 5.0]))
+        assert len(points) == 2
+        assert_allclose(jac, [[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]], atol=1e-8)
+        points.clear()
+        jac = fd_jacobian(f, x, lower=x, upper=x)
+        assert len(points) == 1 and np.array_equal(points[0], x)
+        assert np.array_equal(jac, np.zeros((3, 2)))
