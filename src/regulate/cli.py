@@ -4,8 +4,9 @@ Reads a JSON config, runs one regulation experiment on a benchmark plant, and
 writes machine-readable logs: trajectory.csv, blocks.csv, summary.jsonl.
 Exit codes: 0 run terminated, 2 a safety cap was hit, 3 config or solver
 infeasibility. ``verify`` replays the logged inputs against the true plant
-(exit 0 on a match, 1 on a mismatch, 3 when the log is missing or does not fit
-the config) and ``check-excitation`` reports the identifiability diagnostics.
+(exit 0 on a match, 1 on a mismatch, 3 when the log is missing, is not a
+table of numbers or does not fit the config) and ``check-excitation`` reports
+the identifiability diagnostics.
 """
 
 from __future__ import annotations
@@ -25,9 +26,7 @@ from .benchmarks import BenchmarkSpec, UnknownModel, get_model
 from .estimator import NotConverged, identifiability_margin
 from .plant import InputSequence, as_inputs, excitation_rank_check, param_grid, simulate
 from .regulator import (
-    InclusionOptions,
-    MaxBlocksExceeded,
-    MaxInnerRetriesExceeded,
+    RegulatorError,
     RegulatorSchedule,
     RunOutcome,
     SolverOptions,
@@ -38,7 +37,8 @@ from .synthesis import Infeasible, SynthesisBounds
 
 
 class ParseError(ValueError):
-    """Config file is not valid JSON or not a JSON object."""
+    """A config file is not a JSON object, or a logged trajectory is not a
+    table of numbers."""
 
 
 class ValidationError(ValueError):
@@ -106,7 +106,7 @@ def load_config(path) -> ExperimentConfig:
 
     def number(field_name, default, positive=False, integer=False, minimum=None):
         value = take(field_name, default)
-        if value is None:
+        if value is None and default is None:
             return None
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             problems.append(f"{field_name}: must be a number (got {value!r})")
@@ -306,11 +306,10 @@ def run_experiment(config: ExperimentConfig) -> int:
                 RegulatorSchedule(config.beta, config.mu0, config.kappa0, config.eps_fin),
                 bounds_fn=lambda _x: bounds,
                 solver=solver,
-                inclusion=InclusionOptions(),
                 max_blocks=config.max_blocks,
                 max_inner_retries=config.max_inner_retries,
             )
-    except (MaxBlocksExceeded, MaxInnerRetriesExceeded) as err:
+    except RegulatorError as err:
         print(f"run stopped: {err}", file=sys.stderr)
         outcome = err.partial_outcome
         code = 2
@@ -334,15 +333,21 @@ def replay_verify(trajectory_path, config: ExperimentConfig, tol: float = 1e-12)
     path = Path(trajectory_path)
     with path.open("r", encoding="utf-8", newline="") as handle:
         rows = list(csv.reader(handle))
-    if not rows or len(rows[0]) != 1 + model.state_dim + model.input_dim + 1:
+    width = 1 + model.state_dim + model.input_dim + 1
+    if not rows or len(rows[0]) != width:
         raise ParseError(f"{path}: unexpected column count")
     states = []
     inputs = []
-    for row in rows[1:]:
-        states.append([float(v) for v in row[1 : 1 + model.state_dim]])
+    for number, row in enumerate(rows[1:], start=1):
+        if len(row) != width:
+            raise ParseError(f"{path}: row {number} has {len(row)} cells, expected {width}")
         input_cells = row[1 + model.state_dim : 1 + model.state_dim + model.input_dim]
-        if all(cell != "" for cell in input_cells):
-            inputs.append([float(v) for v in input_cells])
+        try:
+            states.append([float(v) for v in row[1 : 1 + model.state_dim]])
+            if all(cell != "" for cell in input_cells):
+                inputs.append([float(v) for v in input_cells])
+        except ValueError as err:
+            raise ParseError(f"{path}: row {number}: {err}") from None
     logged = np.asarray(states, dtype=float)
     replayed = simulate(
         model, config.x0, InputSequence(0, np.asarray(inputs, dtype=float).reshape(len(inputs), model.input_dim)),

@@ -6,6 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Extra steps taken after reaching tol, and the shortest step fraction tried.
+POLISH_ITERS = 1
+MIN_STEP = 1e-12
+
 
 @dataclass(frozen=True)
 class GaussNewtonResult:
@@ -23,8 +27,6 @@ def box_gauss_newton(
     upper,
     tol,
     max_iters: int = 60,
-    polish_iters: int = 1,
-    min_step: float = 1e-12,
 ):
     """Minimize ||residual(x)|| over the box [lower, upper].
 
@@ -35,7 +37,7 @@ def box_gauss_newton(
 
     Each iteration solves the Gauss-Newton least-squares step, then halves the
     step length until the projected candidate decreases the residual norm.
-    After reaching tol, up to ``polish_iters`` extra steps are taken so the
+    After reaching tol, up to ``POLISH_ITERS`` extra steps are taken so the
     returned point is not left sitting right at the tolerance ceiling. Stalling
     (no decreasing step) ends the search; ``converged`` reports whether the
     final residual norm is <= tol.
@@ -46,9 +48,11 @@ def box_gauss_newton(
     iters = 0
     if cost <= tol:
         return GaussNewtonResult(x, cost, iters, True)
-    polish = polish_iters
+    polish = POLISH_ITERS
     while iters < max_iters:
         jac = np.asarray(jacobian(x), dtype=float)
+        if not np.all(np.isfinite(jac)):
+            break
         try:
             direction, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         except np.linalg.LinAlgError:
@@ -57,7 +61,7 @@ def box_gauss_newton(
             break
         alpha = 1.0
         moved = False
-        while alpha >= min_step:
+        while alpha >= MIN_STEP:
             cand = np.clip(x + alpha * direction, lower, upper)
             rc = np.asarray(residual(cand), dtype=float)
             cc = float(np.linalg.norm(rc))

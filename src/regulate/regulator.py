@@ -1,14 +1,15 @@
 """Closed-loop block regulation.
 
-Two run modes share the same skeleton: apply an excitation signal, then loop
-over control blocks, re-estimating the parameter from the whole past
-trajectory and synthesizing a block that drives the prediction to the target.
-The exact mode solves both subproblems to a fixed tight tolerance. The inexact
-mode runs the shrinking-tolerance schedule: per block the estimation tolerance
-is contracted and the sensitivity multiplier expanded by the same factor, and
-the block is only applied once a conservative sensitivity-ball check confirms
-that every parameter hypothesis near the estimate predicts a terminal state
-inside half the termination ball.
+Both run modes are thin wrappers around one block loop: apply an excitation
+signal, then loop over control blocks, re-estimating the parameter from the
+whole past trajectory and synthesizing a block that drives the prediction to
+the target. The modes hand the loop only what differs between them. The exact
+mode solves both subproblems to a fixed tight tolerance and applies every
+block. The inexact mode runs the shrinking-tolerance schedule: per block the
+estimation tolerance is contracted and the sensitivity multiplier expanded by
+the same factor, and the block is only applied once a conservative
+sensitivity-ball check confirms that every parameter hypothesis near the
+estimate predicts a terminal state inside half the termination ball.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .estimator import EstimateResult, NotConverged, ObservationHistory, estimate
+from .estimator import NotConverged, ObservationHistory, estimate
 from .plant import (
     InputSequence,
     PlantModel,
@@ -55,20 +56,9 @@ class RegulatorSchedule:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs for the per-block estimation and synthesis subsolvers."""
+    """Seed of the per-block synthesis multistarts and inclusion-check probes."""
 
-    estimate_max_iters: int = 60
-    estimate_multistart_grid: int = 3
-    synth_max_iters: int = 60
-    synth_multistart: int = 5
-    fd_step: float = 1e-6
     seed: int = 0
-
-
-@dataclass(frozen=True)
-class InclusionOptions:
-    probe_count: int = 8
-    safety: float = 1.5
 
 
 @dataclass(frozen=True)
@@ -176,51 +166,37 @@ def inclusion_check(
 
 
 class _RunLog:
-    """Accumulates the true-plant trajectory, applied inputs, and block records."""
+    """The true-plant trajectory, kept as the history the estimator reads, and
+    the block records."""
 
     def __init__(self, model: PlantModel, theta_true, x0, excitation: InputSequence):
         self.model = model
         self.theta_true = np.asarray(theta_true, dtype=float)
-        seq = simulate(model, x0, excitation, theta_true)
-        self.states = [seq.states[i] for i in range(len(seq))]
-        self.input_rows = [excitation.inputs[i] for i in range(len(excitation))]
+        states = simulate(model, x0, excitation, theta_true).states
+        # The copy keeps the outcome from sharing the caller's excitation array.
+        self.history = ObservationHistory(
+            states[0], InputSequence(0, excitation.inputs.copy()), StateSequence(1, states[1:])
+        )
+        self.x = states[-1]
         self.blocks = []
-
-    @property
-    def time(self) -> int:
-        return len(self.states) - 1
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.states[-1]
 
     @property
     def error(self) -> float:
         return float(np.linalg.norm(self.x - self.model.target))
 
-    def history(self) -> ObservationHistory:
-        inputs = np.array(self.input_rows).reshape(len(self.input_rows), self.model.input_dim)
-        observed = np.array(self.states[1:]).reshape(len(self.states) - 1, self.model.state_dim)
-        return ObservationHistory(
-            self.states[0], InputSequence(0, inputs), StateSequence(1, observed)
-        )
-
     def apply(self, block: InputSequence) -> np.ndarray:
-        seg = simulate(self.model, self.x, block, self.theta_true)
-        for i in range(1, len(seg)):
-            self.states.append(seg.states[i])
-        for i in range(len(block)):
-            self.input_rows.append(block.inputs[i])
-        return seg.states[-1]
+        states = simulate(self.model, self.x, block, self.theta_true).states
+        self.history = self.history.extended(block, StateSequence(block.start_time + 1, states[1:]))
+        self.x = states[-1]
+        return self.x
 
     def outcome(self, terminated: bool) -> RunOutcome:
-        states = np.array(self.states).reshape(len(self.states), self.model.state_dim)
-        inputs = np.array(self.input_rows).reshape(len(self.input_rows), self.model.input_dim)
+        history = self.history
         return RunOutcome(
             terminated,
             tuple(self.blocks),
-            StateSequence(0, states),
-            InputSequence(0, inputs),
+            StateSequence(0, np.vstack([history.x0, history.observed_states.states])),
+            history.applied_inputs,
             self.error,
         )
 
@@ -232,14 +208,56 @@ def _prepare(model, theta_true, x0, u_exc):
         warnings.warn(
             "excitation fails the identifiability rank check at the initial state; "
             "parameter estimates may be ambiguous",
-            stacklevel=3,
+            stacklevel=4,
         )
     return _RunLog(model, theta_true, x0, excitation)
 
 
-def _abort(err_cls, message, log):
-    err = err_cls(message, log.outcome(False))
-    return err
+def _run_blocks(model, theta_true, x0, u_exc, bounds_fn, solver, max_blocks, *, done, synth_tol,
+                attempts, accept) -> RunOutcome:
+    """The block loop of both modes, which pass what differs between them.
+
+    ``done(error)`` tests for termination and ``synth_tol`` is the synthesis
+    tolerance. ``attempts(last)`` yields (estimation tolerance, mu, kappa) for
+    each attempt at the next block, given the last applied block's record (None
+    before the first); mu and kappa are logged. ``accept(history, theta, plan,
+    mu, kappa, seed_rng)`` decides whether an attempt's plan is applied. A block
+    whose attempts run out raises MaxInnerRetriesExceeded.
+    """
+    log = _prepare(model, theta_true, x0, u_exc)
+    seed_rng = np.random.default_rng(solver.seed)
+    theta_guess = 0.5 * (model.param_lower + model.param_upper)
+    while not done(log.error):
+        k = len(log.blocks) + 1
+        if k > max_blocks:
+            raise MaxBlocksExceeded(f"{max_blocks} blocks without termination", log.outcome(False))
+        history = log.history
+        bounds_k = bounds_fn(log.x)
+        for retries, (tol, mu, kappa) in enumerate(attempts(log.blocks[-1] if log.blocks else None)):
+            try:
+                est = estimate(model, history, theta_guess, tol)
+                plan = synthesize(
+                    model, history, est.theta, bounds_k, synth_tol, seed=int(seed_rng.integers(2**63))
+                )
+            except (NotConverged, Infeasible) as err:
+                err.block_index = k
+                err.partial_outcome = log.outcome(False)
+                raise
+            theta_guess = est.theta
+            if accept(history, est.theta, plan, mu, kappa, seed_rng):
+                break
+        else:
+            raise MaxInnerRetriesExceeded(
+                f"inclusion check failed {retries + 1} times in block {k}", log.outcome(False)
+            )
+        x_end = log.apply(plan.block)
+        log.blocks.append(
+            BlockRecord(
+                k, history.horizon, est.theta, mu, kappa, plan.horizon, plan.block,
+                x_end, est.residual, retries,
+            )
+        )
+    return log.outcome(True)
 
 
 def run_exact(
@@ -262,40 +280,13 @@ def run_exact(
     """
     if tol_exact <= 0:
         raise ValueError("tol_exact must be positive")
-    log = _prepare(model, theta_true, x0, u_exc)
-    seed_rng = np.random.default_rng(solver.seed)
-    theta_guess = 0.5 * (model.param_lower + model.param_upper)
-    k = 1
-    while True:
-        if log.error <= tol_exact:
-            return log.outcome(True)
-        if len(log.blocks) >= max_blocks:
-            raise _abort(MaxBlocksExceeded, f"{max_blocks} blocks without termination", log)
-        history = log.history()
-        try:
-            est = estimate(
-                model, history, theta_guess, tol_exact,
-                solver.estimate_max_iters, solver.estimate_multistart_grid, solver.fd_step,
-            )
-            plan = synthesize(
-                model, history, est.theta, bounds_fn(log.x), tol_exact,
-                solver.synth_max_iters, solver.synth_multistart,
-                int(seed_rng.integers(2**63)), solver.fd_step,
-            )
-        except (NotConverged, Infeasible) as err:
-            err.block_index = k
-            err.partial_outcome = log.outcome(False)
-            raise
-        start_time = log.time
-        x_end = log.apply(plan.block)
-        log.blocks.append(
-            BlockRecord(
-                k, start_time, est.theta, None, None, plan.horizon, plan.block,
-                x_end, est.residual, 0,
-            )
-        )
-        theta_guess = est.theta
-        k += 1
+    return _run_blocks(
+        model, theta_true, x0, u_exc, bounds_fn, solver, max_blocks,
+        done=lambda error: error <= tol_exact,
+        synth_tol=tol_exact,
+        attempts=lambda _last: [(tol_exact, None, None)],
+        accept=lambda *_: True,
+    )
 
 
 def run_inexact(
@@ -307,7 +298,6 @@ def run_inexact(
     *,
     bounds_fn: BoundsFn,
     solver: SolverOptions = SolverOptions(),
-    inclusion: InclusionOptions = InclusionOptions(),
     max_blocks: int = 50,
     max_inner_retries: int = 60,
 ) -> RunOutcome:
@@ -321,62 +311,28 @@ def run_inexact(
     contracted again (up to ``max_inner_retries``). Terminates once the
     measured state enters the ``eps_fin`` ball around the target.
     """
-    log = _prepare(model, theta_true, x0, u_exc)
-    seed_rng = np.random.default_rng(solver.seed)
-    beta = schedule0.beta
-    eps_fin = schedule0.eps_fin
-    mu_prev = schedule0.mu
-    kappa = schedule0.kappa
-    theta_guess = 0.5 * (model.param_lower + model.param_upper)
-    k = 1
-    while True:
-        if log.error < eps_fin:
-            return log.outcome(True)
-        if len(log.blocks) >= max_blocks:
-            raise _abort(MaxBlocksExceeded, f"{max_blocks} blocks without termination", log)
-        # kappa must advance by one division per block so logged values replay
-        # bit-for-bit; mu may contract further inside the retry loop.
-        mu, kappa = schedule_step(mu_prev, kappa, beta)
-        history = log.history()
-        bounds_k = bounds_fn(log.x)
-        retries = 0
-        while True:
-            try:
-                est = estimate(
-                    model, history, theta_guess, mu,
-                    solver.estimate_max_iters, solver.estimate_multistart_grid, solver.fd_step,
-                )
-                plan = synthesize(
-                    model, history, est.theta, bounds_k, 0.5 * eps_fin,
-                    solver.synth_max_iters, solver.synth_multistart,
-                    int(seed_rng.integers(2**63)), solver.fd_step,
-                )
-            except (NotConverged, Infeasible) as err:
-                err.block_index = k
-                err.partial_outcome = log.outcome(False)
-                raise
-            theta_guess = est.theta
-            if inclusion_check(
-                model, history, est.theta, plan, kappa * mu, 0.5 * eps_fin,
-                inclusion.probe_count, int(seed_rng.integers(2**63)),
-                inclusion.safety, solver.fd_step,
-            ):
-                break
-            retries += 1
-            if retries > max_inner_retries:
-                raise _abort(
-                    MaxInnerRetriesExceeded,
-                    f"inclusion check failed {retries} times in block {k}",
-                    log,
-                )
+    beta, eps_fin = schedule0.beta, schedule0.eps_fin
+
+    def attempts(last):
+        # Step on from the last applied block's mu and kappa (the schedule's
+        # before the first): kappa advances by one division per block so logged
+        # values replay bit-for-bit, and mu contracts again after every failed check.
+        prev = last or schedule0
+        mu, kappa = schedule_step(prev.mu, prev.kappa, beta)
+        yield mu, mu, kappa
+        for _ in range(max_inner_retries):
             mu = beta * mu
-        start_time = log.time
-        x_end = log.apply(plan.block)
-        log.blocks.append(
-            BlockRecord(
-                k, start_time, est.theta, mu, kappa, plan.horizon, plan.block,
-                x_end, est.residual, retries,
-            )
+            yield mu, mu, kappa
+
+    def accept(history, theta, plan, mu, kappa, seed_rng):
+        return inclusion_check(
+            model, history, theta, plan, kappa * mu, 0.5 * eps_fin, seed=int(seed_rng.integers(2**63))
         )
-        mu_prev = mu
-        k += 1
+
+    return _run_blocks(
+        model, theta_true, x0, u_exc, bounds_fn, solver, max_blocks,
+        done=lambda error: error < eps_fin,
+        synth_tol=0.5 * eps_fin,
+        attempts=attempts,
+        accept=accept,
+    )

@@ -84,6 +84,20 @@ class TestLoadConfig:
         with pytest.raises(ParseError):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "field", ["tol_exact", "mu0", "kappa0", "eps_fin", "seed", "max_blocks", "max_inner_retries"]
+    )
+    def test_null_in_a_numeric_field(self, tmp_path, capsys, field):
+        # Only n_max and rho_max may be null, which means the benchmark's bound.
+        config_path = write_config(tmp_path, dict(INEXACT_BILINEAR, **{field: None}))
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{field}: must be a number (got None)" in err
+
+    def test_null_bounds_take_the_benchmark_defaults(self, tmp_path):
+        config = load_config(write_config(tmp_path, dict(EXACT_SCALAR, n_max=None, rho_max=None)))
+        assert config.n_max is None and config.rho_max is None
+
     def test_unknown_model_and_field(self, tmp_path):
         path = write_config(tmp_path, {"model": "pendulum", "theta_true": [1.0], "x0": [0.0], "bogus": 1})
         with pytest.raises(ValidationError) as excinfo:
@@ -218,6 +232,33 @@ class TestMain:
         assert main(["verify", "--config", str(config_path), "--out", str(tmp_path / "empty")]) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "trajectory.csv" in err
+
+    @pytest.mark.parametrize("corrupt", ["non-numeric cell", "ragged row"])
+    def test_verify_on_corrupt_trajectory(self, tmp_path, capsys, corrupt):
+        config_path = write_config(tmp_path, EXACT_SCALAR)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+        rows = read_csv(out / "trajectory.csv")
+        if corrupt == "non-numeric cell":
+            rows[-1][1] = "abc"
+        else:
+            rows[2] = rows[2][:-1]
+        with open(out / "trajectory.csv", "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle, lineterminator="\n").writerows(rows)
+        capsys.readouterr()
+        assert main(["verify", "--config", str(config_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    def test_non_finite_jacobian_reaches_no_lapack_routine(self, tmp_path, capfd):
+        # From x0 = 1e308 every replay overflows; the solver must stop before
+        # LAPACK sees the non-finite Jacobian and prints to standard output.
+        config_path = write_config(tmp_path, dict(EXACT_SCALAR, x0=[1e308]))
+        with np.errstate(all="ignore"):
+            assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 3
+        captured = capfd.readouterr()
+        assert "DLASCL" not in captured.out
+        assert captured.err.startswith("solver failed:")
 
     def test_diverged_run_summary_is_strict_json(self, tmp_path):
         config_path = write_config(tmp_path, dict(EXACT_SCALAR, x0=[1e308]))

@@ -1,22 +1,46 @@
-"""The replay primitives against their step-by-step reference versions.
+"""The replay primitives and the block loop against their reference versions.
 
 ``simulate`` checks its arguments once per call and ``fd_jacobian`` skips the
-centre point a central difference never uses. Both must reproduce the
-straightforward versions kept here bit for bit: every state, Jacobian entry,
-block record and CSV byte.
+centre point a central difference never uses. ``run_exact`` and
+``run_inexact`` share one block loop over a run log kept as an
+``ObservationHistory``. All of them must reproduce the straightforward
+versions kept here bit for bit: every state, Jacobian entry, block record,
+exception and CSV byte.
 """
 
 import dataclasses
 import importlib
 import json
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 import regulate.cli
 import regulate.plant as plant
-from regulate import ObservationHistory, SynthesisBounds, get_model, synthesize
-from regulate.plant import InputSequence, StateSequence, _vector
+from regulate import (
+    BlockRecord,
+    Infeasible,
+    MaxBlocksExceeded,
+    MaxInnerRetriesExceeded,
+    NotConverged,
+    ObservationHistory,
+    RegulatorSchedule,
+    RunOutcome,
+    SolverOptions,
+    SynthesisBounds,
+    estimate,
+    excitation_rank_check,
+    get_model,
+    inclusion_check,
+    run_exact,
+    run_inexact,
+    schedule_step,
+    simulate,
+    synthesize,
+)
+from regulate.plant import InputSequence, StateSequence, _vector, as_inputs
 
 PLANTS = ("scalar_linear", "affine_2d", "bilinear_scalar")
 
@@ -282,3 +306,299 @@ def test_end_to_end_matches_reference(name, algorithm, tmp_path, monkeypatch):
         assert_same(new[key], ref[key], key)
     assert logs == ref_logs
     assert summary == ref_summary
+
+
+# The two block loops as they were before they became one, with the run log
+# that kept the trajectory as Python lists of rows. The subsolver settings they
+# read are the defaults of the options they took.
+
+
+@dataclass(frozen=True)
+class ReferenceSolverOptions:
+    estimate_max_iters: int = 60
+    estimate_multistart_grid: int = 3
+    synth_max_iters: int = 60
+    synth_multistart: int = 5
+    fd_step: float = 1e-6
+    seed: int = 0
+
+
+@dataclass(frozen=True)
+class ReferenceInclusionOptions:
+    probe_count: int = 8
+    safety: float = 1.5
+
+
+class ReferenceRunLog:
+    """Accumulates the true-plant trajectory, applied inputs, and block records."""
+
+    def __init__(self, model, theta_true, x0, excitation):
+        self.model = model
+        self.theta_true = np.asarray(theta_true, dtype=float)
+        seq = simulate(model, x0, excitation, theta_true)
+        self.states = [seq.states[i] for i in range(len(seq))]
+        self.input_rows = [excitation.inputs[i] for i in range(len(excitation))]
+        self.blocks = []
+
+    @property
+    def time(self) -> int:
+        return len(self.states) - 1
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.states[-1]
+
+    @property
+    def error(self) -> float:
+        return float(np.linalg.norm(self.x - self.model.target))
+
+    def history(self) -> ObservationHistory:
+        inputs = np.array(self.input_rows).reshape(len(self.input_rows), self.model.input_dim)
+        observed = np.array(self.states[1:]).reshape(len(self.states) - 1, self.model.state_dim)
+        return ObservationHistory(
+            self.states[0], InputSequence(0, inputs), StateSequence(1, observed)
+        )
+
+    def apply(self, block):
+        seg = simulate(self.model, self.x, block, self.theta_true)
+        for i in range(1, len(seg)):
+            self.states.append(seg.states[i])
+        for i in range(len(block)):
+            self.input_rows.append(block.inputs[i])
+        return seg.states[-1]
+
+    def outcome(self, terminated: bool) -> RunOutcome:
+        states = np.array(self.states).reshape(len(self.states), self.model.state_dim)
+        inputs = np.array(self.input_rows).reshape(len(self.input_rows), self.model.input_dim)
+        return RunOutcome(
+            terminated,
+            tuple(self.blocks),
+            StateSequence(0, states),
+            InputSequence(0, inputs),
+            self.error,
+        )
+
+
+def reference_prepare(model, theta_true, x0, u_exc):
+    excitation = as_inputs(u_exc, model.input_dim, start_time=0)
+    report = excitation_rank_check(model, excitation, [(np.asarray(x0, float), np.asarray(theta_true, float))])
+    if not report.passed:
+        warnings.warn(
+            "excitation fails the identifiability rank check at the initial state; "
+            "parameter estimates may be ambiguous",
+            stacklevel=3,
+        )
+    return ReferenceRunLog(model, theta_true, x0, excitation)
+
+
+def reference_abort(err_cls, message, log):
+    err = err_cls(message, log.outcome(False))
+    return err
+
+
+def reference_run_exact(
+    model, theta_true, x0, u_exc, *, bounds_fn, tol_exact=1e-10,
+    solver=ReferenceSolverOptions(), max_blocks=50,
+):
+    if tol_exact <= 0:
+        raise ValueError("tol_exact must be positive")
+    log = reference_prepare(model, theta_true, x0, u_exc)
+    seed_rng = np.random.default_rng(solver.seed)
+    theta_guess = 0.5 * (model.param_lower + model.param_upper)
+    k = 1
+    while True:
+        if log.error <= tol_exact:
+            return log.outcome(True)
+        if len(log.blocks) >= max_blocks:
+            raise reference_abort(MaxBlocksExceeded, f"{max_blocks} blocks without termination", log)
+        history = log.history()
+        try:
+            est = estimate(
+                model, history, theta_guess, tol_exact,
+                solver.estimate_max_iters, solver.estimate_multistart_grid, solver.fd_step,
+            )
+            plan = synthesize(
+                model, history, est.theta, bounds_fn(log.x), tol_exact,
+                solver.synth_max_iters, solver.synth_multistart,
+                int(seed_rng.integers(2**63)), solver.fd_step,
+            )
+        except (NotConverged, Infeasible) as err:
+            err.block_index = k
+            err.partial_outcome = log.outcome(False)
+            raise
+        start_time = log.time
+        x_end = log.apply(plan.block)
+        log.blocks.append(
+            BlockRecord(
+                k, start_time, est.theta, None, None, plan.horizon, plan.block,
+                x_end, est.residual, 0,
+            )
+        )
+        theta_guess = est.theta
+        k += 1
+
+
+def reference_run_inexact(
+    model, theta_true, x0, u_exc, schedule0, *, bounds_fn,
+    solver=ReferenceSolverOptions(), inclusion=ReferenceInclusionOptions(),
+    max_blocks=50, max_inner_retries=60,
+):
+    log = reference_prepare(model, theta_true, x0, u_exc)
+    seed_rng = np.random.default_rng(solver.seed)
+    beta = schedule0.beta
+    eps_fin = schedule0.eps_fin
+    mu_prev = schedule0.mu
+    kappa = schedule0.kappa
+    theta_guess = 0.5 * (model.param_lower + model.param_upper)
+    k = 1
+    while True:
+        if log.error < eps_fin:
+            return log.outcome(True)
+        if len(log.blocks) >= max_blocks:
+            raise reference_abort(MaxBlocksExceeded, f"{max_blocks} blocks without termination", log)
+        mu, kappa = schedule_step(mu_prev, kappa, beta)
+        history = log.history()
+        bounds_k = bounds_fn(log.x)
+        retries = 0
+        while True:
+            try:
+                est = estimate(
+                    model, history, theta_guess, mu,
+                    solver.estimate_max_iters, solver.estimate_multistart_grid, solver.fd_step,
+                )
+                plan = synthesize(
+                    model, history, est.theta, bounds_k, 0.5 * eps_fin,
+                    solver.synth_max_iters, solver.synth_multistart,
+                    int(seed_rng.integers(2**63)), solver.fd_step,
+                )
+            except (NotConverged, Infeasible) as err:
+                err.block_index = k
+                err.partial_outcome = log.outcome(False)
+                raise
+            theta_guess = est.theta
+            if inclusion_check(
+                model, history, est.theta, plan, kappa * mu, 0.5 * eps_fin,
+                inclusion.probe_count, int(seed_rng.integers(2**63)),
+                inclusion.safety, solver.fd_step,
+            ):
+                break
+            retries += 1
+            if retries > max_inner_retries:
+                raise reference_abort(
+                    MaxInnerRetriesExceeded,
+                    f"inclusion check failed {retries} times in block {k}",
+                    log,
+                )
+            mu = beta * mu
+        start_time = log.time
+        x_end = log.apply(plan.block)
+        log.blocks.append(
+            BlockRecord(
+                k, start_time, est.theta, mu, kappa, plan.horizon, plan.block,
+                x_end, est.residual, retries,
+            )
+        )
+        mu_prev = mu
+        k += 1
+
+
+def _both_loops(name, algorithm, *, theta_true=None, x0=None, tail=0, bounds=None,
+                schedule=RegulatorSchedule(0.5, 1.0, 1.0, 1e-3), **options):
+    """The outcome, or the exception raised, of the library loop and of the reference."""
+    spec = get_model(name)
+    model = spec.model
+    case_theta, case_x0 = CASES[name]
+    excitation = spec.excitation.inputs
+    if tail:
+        rho = spec.bounds.max_amplitude
+        rng = np.random.default_rng([18, PLANTS.index(name), tail])
+        excitation = np.vstack([excitation, rng.uniform(-rho / 2, rho / 2, (tail, model.input_dim))])
+    args = (model, case_theta if theta_true is None else theta_true, case_x0 if x0 is None else x0, excitation)
+    if algorithm == "inexact":
+        args += (schedule,)
+    options["bounds_fn"] = lambda _x: spec.bounds if bounds is None else bounds
+    runs = {
+        "exact": (run_exact, reference_run_exact),
+        "inexact": (run_inexact, reference_run_inexact),
+    }[algorithm]
+    results = []
+    for runner, solver in zip(runs, (SolverOptions(seed=5), ReferenceSolverOptions(seed=5))):
+        try:
+            results.append(runner(*args, solver=solver, **options))
+        except Exception as err:
+            results.append(err)
+    return results
+
+
+def assert_same_outcome(new, ref):
+    new, ref = _outcome_arrays(new), _outcome_arrays(ref)
+    assert new.keys() == ref.keys()
+    for key in new:
+        assert_same(new[key], ref[key], key)
+
+
+def assert_same_failure(new, ref, error_type):
+    assert type(new) is error_type and type(ref) is error_type, (new, ref)
+    assert str(new) == str(ref)
+    assert getattr(new, "block_index", None) == getattr(ref, "block_index", None)
+    assert_same_outcome(new.partial_outcome, ref.partial_outcome)
+
+
+# (exact-mode options, inexact-mode options) of the runs that terminate.
+LOOP_CASES = {
+    "default excitation": ({}, {}),
+    "30-step tail": ({"tail": 30}, {"tail": 30}),
+    "tight tolerances": ({"tol_exact": 1e-12}, {"schedule": RegulatorSchedule(0.5, 1.0, 1e-6, 1e-3)}),
+}
+
+
+@pytest.mark.parametrize("case", LOOP_CASES)
+@pytest.mark.parametrize("algorithm", ["exact", "inexact"])
+@pytest.mark.parametrize("name", PLANTS)
+def test_block_loop_matches_reference(name, algorithm, case):
+    options = LOOP_CASES[case][algorithm == "inexact"]
+    new, ref = _both_loops(name, algorithm, **options)
+    assert isinstance(new, RunOutcome) and new.terminated, new
+    assert_same_outcome(new, ref)
+
+
+@pytest.mark.filterwarnings("ignore:excitation fails")
+@pytest.mark.parametrize("algorithm", ["exact", "inexact"])
+def test_unidentified_start_matches_reference(algorithm):
+    # From x0 = 0 the excitation leaves theta unidentified, so the first
+    # block misses and the history grows across blocks.
+    new, ref = _both_loops("bilinear_scalar", algorithm, x0=[0.0])
+    assert len(new.blocks) >= 2
+    assert_same_outcome(new, ref)
+
+
+@pytest.mark.filterwarnings("ignore:excitation fails")
+@pytest.mark.parametrize("algorithm", ["exact", "inexact"])
+@pytest.mark.parametrize("max_blocks", [0, 1])
+def test_block_cap_matches_reference(algorithm, max_blocks):
+    new, ref = _both_loops("bilinear_scalar", algorithm, x0=[0.0], max_blocks=max_blocks)
+    assert_same_failure(new, ref, MaxBlocksExceeded)
+    assert len(new.partial_outcome.blocks) == max_blocks
+
+
+def test_inner_retry_cap_matches_reference():
+    new, ref = _both_loops("bilinear_scalar", "inexact", max_inner_retries=2)
+    assert_same_failure(new, ref, MaxInnerRetriesExceeded)
+
+
+@pytest.mark.parametrize("algorithm", ["exact", "inexact"])
+def test_infeasible_block_matches_reference(algorithm):
+    new, ref = _both_loops("scalar_linear", algorithm, theta_true=[2.0], bounds=SynthesisBounds(1, 0.1))
+    assert_same_failure(new, ref, Infeasible)
+    assert new.block_index == 1
+
+
+@pytest.mark.parametrize("runner", [run_exact, run_inexact])
+def test_rank_check_warning_names_the_caller(runner):
+    spec = get_model("scalar_linear")
+    args = (spec.model, [0.8], [0.0], as_inputs([0.0], 1))
+    if runner is run_inexact:
+        args += (RegulatorSchedule(0.5, 1.0, 1.0, 1e-3),)
+    with pytest.warns(UserWarning, match="rank check") as record:
+        runner(*args, bounds_fn=lambda _x: spec.bounds)
+    assert [w.filename for w in record] == [__file__]

@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from regulate import (
-    ControlPlan,
     Infeasible,
     ObservationHistory,
     PlantModel,
@@ -13,7 +12,6 @@ from regulate import (
     get_model,
     simulate,
     synthesize,
-    verify_plan,
 )
 from regulate.plant import StateSequence, as_inputs
 
@@ -121,23 +119,6 @@ class TestSynthesize:
             x = np.full(spec.model.state_dim, 1.0)
             plan = synthesize(spec.model, blank_history(spec.model, x), theta, spec.bounds, tol=1e-9, seed=8)
             assert controllability_rank_check(spec.model, x, theta, plan.block)
-
-
-class TestVerifyPlan:
-    def test_matches_predicted_error_for_same_theta(self):
-        model = SCALAR_SPEC.model
-        hist = recorded_history(model, [1.0], [0.5], [0.8])
-        plan = synthesize(model, hist, [0.8], SCALAR_SPEC.bounds, tol=1e-9, seed=9)
-        landed = verify_plan(model, hist, [0.8], plan)
-        assert np.linalg.norm(landed - model.target) <= plan.predicted_terminal_error + 1e-15
-
-    def test_parameter_mismatch_hand_value(self):
-        # Empty history at x(0)=1.3: replay under theta=0.9 gives 0.9*1.3-1.04.
-        model = SCALAR_SPEC.model
-        hist = blank_history(model, [1.3])
-        plan = ControlPlan(1, as_inputs([-1.04], 1), 0.0)
-        landed = verify_plan(model, hist, [0.9], plan)
-        assert_allclose(landed, [0.13], atol=1e-12)
 
 
 class TestFeasibilityProbe:
