@@ -2,7 +2,9 @@
 
 Reads a JSON config, runs one regulation experiment on a benchmark plant, and
 writes machine-readable logs: trajectory.csv, blocks.csv, summary.jsonl.
-Exit codes: 0 run terminated, 2 a safety cap was hit, 3 config or solver
+Exit codes: 0 run terminated, 2 a safety cap was hit, 3 a usage error, a
+config or log file that cannot be read or is invalid (a non-finite number
+included), an output directory that cannot be made, or solver
 infeasibility. ``verify`` replays the logged inputs against the true plant
 (exit 0 on a match, 1 on a mismatch, 3 when the log is missing, is not a
 table of numbers or does not fit the config) and ``check-excitation`` reports
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -23,8 +26,8 @@ from typing import Optional
 import numpy as np
 
 from .benchmarks import BenchmarkSpec, UnknownModel, get_model
-from .estimator import NotConverged, identifiability_margin
-from .plant import InputSequence, as_inputs, excitation_rank_check, param_grid, simulate
+from .estimator import identifiability_margin
+from .plant import InputSequence, RunFailure, as_inputs, excitation_rank_check, param_grid, simulate
 from .regulator import (
     RegulatorError,
     RegulatorSchedule,
@@ -33,12 +36,12 @@ from .regulator import (
     run_exact,
     run_inexact,
 )
-from .synthesis import Infeasible, SynthesisBounds
+from .synthesis import SynthesisBounds
 
 
 class ParseError(ValueError):
-    """A config file is not a JSON object, or a logged trajectory is not a
-    table of numbers."""
+    """The command line is malformed, or a file is not UTF-8 text, a config
+    file not a JSON object or a logged trajectory not a table of numbers."""
 
 
 class ValidationError(ValueError):
@@ -78,7 +81,10 @@ _KNOWN_FIELDS = {
 
 def load_config(path) -> ExperimentConfig:
     """Parse and validate a config file; all validation failures are reported together."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 text ({err})") from None
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as err:
@@ -111,6 +117,9 @@ def load_config(path) -> ExperimentConfig:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             problems.append(f"{field_name}: must be a number (got {value!r})")
             return default
+        if not math.isfinite(value):
+            problems.append(f"{field_name}: must be finite (got {value!r})")
+            return default
         if integer and int(value) != value:
             problems.append(f"{field_name}: must be an integer (got {value!r})")
             return default
@@ -136,6 +145,9 @@ def load_config(path) -> ExperimentConfig:
         if dim is not None and arr.shape != (dim,):
             problems.append(f"{field_name}: expected {dim} coordinates, got {arr.size}")
             return None
+        if not np.all(np.isfinite(arr)):
+            problems.append(f"{field_name}: must be finite")
+            return None
         return arr
 
     algorithm = take("algorithm", "exact")
@@ -149,17 +161,17 @@ def load_config(path) -> ExperimentConfig:
         problems.append(f"theta_true: outside the admissible box {box}")
 
     tol_exact = number("tol_exact", 1e-10, positive=True)
-    beta = take("beta", 0.5)
-    if isinstance(beta, bool) or not isinstance(beta, (int, float)):
-        problems.append(f"beta: must be a number (got {beta!r})")
-        beta = 0.5
-    elif algorithm == "inexact" and not 0.0 < beta < 1.0:
+    beta = number("beta", 0.5)
+    if algorithm == "inexact" and not 0.0 < beta < 1.0:
         problems.append(f"beta: must satisfy 0<beta<1 (got {beta!r})")
     mu0 = number("mu0", 1.0, positive=True)
     kappa0 = number("kappa0", 1.0, positive=True)
     eps_fin = number("eps_fin", 1e-3, positive=True)
     n_max = number("n_max", None, integer=True, minimum=1)
     rho_max = number("rho_max", None, positive=True)
+    if rho_max is not None and not math.isfinite(2.0 * rho_max):
+        # The synthesis draws its starts from [-rho_max, rho_max].
+        problems.append(f"rho_max: the amplitude box must have a finite width (got {rho_max!r})")
     seed = number("seed", 0, integer=True, minimum=0)
     max_blocks = number("max_blocks", 50, integer=True, minimum=0)
     max_inner_retries = number("max_inner_retries", 60, integer=True, minimum=0)
@@ -170,6 +182,9 @@ def load_config(path) -> ExperimentConfig:
             excitation = as_inputs(take("excitation"), spec.model.input_dim, start_time=0)
         except (ValueError, TypeError) as err:
             problems.append(f"excitation: {err}")
+        else:
+            if not np.all(np.isfinite(excitation.inputs)):
+                problems.append("excitation: must be finite")
 
     out_dir = take("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
@@ -184,7 +199,7 @@ def load_config(path) -> ExperimentConfig:
         x0=x0,
         algorithm=algorithm,
         tol_exact=tol_exact,
-        beta=float(beta),
+        beta=beta,
         mu0=mu0,
         kappa0=kappa0,
         eps_fin=eps_fin,
@@ -309,14 +324,11 @@ def run_experiment(config: ExperimentConfig) -> int:
                 max_blocks=config.max_blocks,
                 max_inner_retries=config.max_inner_retries,
             )
-    except RegulatorError as err:
-        print(f"run stopped: {err}", file=sys.stderr)
+    except RunFailure as err:
+        capped = isinstance(err, RegulatorError)
+        print(f"{'run stopped' if capped else 'solver failed'}: {err}", file=sys.stderr)
         outcome = err.partial_outcome
-        code = 2
-    except (NotConverged, Infeasible) as err:
-        print(f"solver failed: {err}", file=sys.stderr)
-        outcome = getattr(err, "partial_outcome", None)
-        code = 3
+        code = 2 if capped else 3
     wall_time = time.perf_counter() - start
 
     if outcome is not None:
@@ -332,7 +344,10 @@ def replay_verify(trajectory_path, config: ExperimentConfig, tol: float = 1e-12)
     model = spec.model
     path = Path(trajectory_path)
     with path.open("r", encoding="utf-8", newline="") as handle:
-        rows = list(csv.reader(handle))
+        try:
+            rows = list(csv.reader(handle))
+        except UnicodeDecodeError as err:
+            raise ParseError(f"{path}: not UTF-8 text ({err})") from None
     width = 1 + model.state_dim + model.input_dim + 1
     if not rows or len(rows[0]) != width:
         raise ParseError(f"{path}: unexpected column count")
@@ -376,8 +391,16 @@ def check_excitation(config: ExperimentConfig) -> int:
     return 0 if report.passed else 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a ParseError, so that it exits 3 like any other
+    config error; the subcommand parsers inherit this class."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="regulate",
         description="Adaptive set-point regulation experiments on benchmark plants",
     )
@@ -398,39 +421,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         config = load_config(args.config)
-    except FileNotFoundError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 3
-    except (ParseError, ValidationError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 3
-
-    if args.command == "run":
-        if args.out:
-            config.out_dir = args.out
-        if args.seed is not None:
-            config.seed = args.seed
-        try:
+        if args.command == "run":
+            if args.out:
+                config.out_dir = args.out
+            if args.seed is not None:
+                config.seed = args.seed
             return run_experiment(config)
-        except ValidationError as err:
-            print(f"config error: {err}", file=sys.stderr)
-            return 3
-    if args.command == "verify":
-        out_dir = args.out or config.out_dir
-        if not out_dir:
-            print("config error: no output directory given", file=sys.stderr)
-            return 3
-        try:
+        if args.command == "verify":
+            out_dir = args.out or config.out_dir
+            if not out_dir:
+                raise ValidationError(["no output directory given"])
             ok = replay_verify(Path(out_dir) / "trajectory.csv", config)
-        except (FileNotFoundError, ParseError) as err:
-            print(f"config error: {err}", file=sys.stderr)
-            return 3
-        print("replay ok" if ok else "replay mismatch")
-        return 0 if ok else 1
-    return check_excitation(config)
+            print("replay ok" if ok else "replay mismatch")
+            return 0 if ok else 1
+        return check_excitation(config)
+    except (OSError, ParseError, ValidationError) as err:
+        # A file that cannot be read or written is a config error too.
+        print(f"config error: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 The estimator looks for a parameter vector inside the admissible box whose
 predicted trajectory matches the observed one to a requested tolerance, and
 the identifiability margin quantifies how strongly the first data segment
-separates nearby parameter hypotheses.
+separates nearby parameter hypotheses. A start that stalls is followed by
+restarts from a grid of ``MULTISTART_GRID`` points per parameter axis.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .gauss_newton import box_gauss_newton
 from .plant import (
     InputSequence,
     PlantModel,
+    RunFailure,
     StateSequence,
     _vector,
     jacobian_theta,
@@ -24,6 +26,9 @@ from .plant import (
     smallest_singular_value,
     stacked_map,
 )
+
+# Restart grid points per parameter axis after the first start stalls.
+MULTISTART_GRID = 3
 
 
 @dataclass(frozen=True)
@@ -99,7 +104,7 @@ class IdentifiabilityReport:
     samples_used: int
 
 
-class NotConverged(RuntimeError):
+class NotConverged(RunFailure):
     """No start reached the requested residual tolerance; carries the best attempt."""
 
     def __init__(self, message: str, best: EstimateResult):
@@ -120,19 +125,11 @@ def _lex_key(x: np.ndarray) -> tuple:
     return tuple(float(v) for v in x)
 
 
-def estimate(
-    model: PlantModel,
-    history: ObservationHistory,
-    theta_init,
-    tol: float,
-    max_iters: int = 60,
-    multistart_grid: int = 3,
-    fd_step: float = 1e-6,
-) -> EstimateResult:
+def estimate(model: PlantModel, history: ObservationHistory, theta_init, tol: float) -> EstimateResult:
     """Fit a parameter vector in the box to the observed trajectory.
 
     Runs projected damped Gauss-Newton from theta_init; if that run stalls
-    above tol, restarts from a uniform grid over the box (multistart_grid
+    above tol, restarts from a uniform grid over the box (MULTISTART_GRID
     points per axis) and keeps the best residual, breaking ties toward the
     lexicographically smallest parameter vector. Raises NotConverged when no
     start reaches tol; the returned parameters always lie inside the box.
@@ -147,14 +144,14 @@ def estimate(
         return residual_vector(model, history, th)
 
     def jac(th):
-        return jacobian_theta(model, history.x0, history.applied_inputs, th, fd_step)
+        return jacobian_theta(model, history.x0, history.applied_inputs, th)
 
     lower, upper = model.param_lower, model.param_upper
-    best = box_gauss_newton(res, jac, theta_init, lower, upper, tol, max_iters)
+    best = box_gauss_newton(res, jac, theta_init, lower, upper, tol)
     total_iters = best.iterations
     if best.residual_norm > tol:
-        for start in param_grid(model, multistart_grid):
-            run = box_gauss_newton(res, jac, start, lower, upper, tol, max_iters)
+        for start in param_grid(model, MULTISTART_GRID):
+            run = box_gauss_newton(res, jac, start, lower, upper, tol)
             total_iters += run.iterations
             if run.residual_norm < best.residual_norm or (
                 run.residual_norm == best.residual_norm and _lex_key(run.x) < _lex_key(best.x)
@@ -169,13 +166,7 @@ def estimate(
     )
 
 
-def identifiability_margin(
-    model: PlantModel,
-    x0,
-    u_exc: InputSequence,
-    grid: int = 5,
-    fd_step: float = 1e-6,
-) -> IdentifiabilityReport:
+def identifiability_margin(model: PlantModel, x0, u_exc: InputSequence, grid: int = 5) -> IdentifiabilityReport:
     """Smallest singular value of the first-segment parameter Jacobian over a
     grid on the parameter box. Positive iff every sampled Jacobian has full
     column rank."""
@@ -184,7 +175,7 @@ def identifiability_margin(
     margin = np.inf
     count = 0
     for theta in param_grid(model, grid):
-        jac = jacobian_theta(model, x0, u_exc, theta, fd_step)
+        jac = jacobian_theta(model, x0, u_exc, theta)
         margin = min(margin, smallest_singular_value(jac, model.param_dim))
         count += 1
     spacings = (model.param_upper - model.param_lower) / (grid - 1)

@@ -1,4 +1,8 @@
-"""Damped Gauss-Newton for small box-constrained nonlinear least-squares problems."""
+"""Damped Gauss-Newton for small box-constrained nonlinear least-squares problems.
+
+Every run takes at most ``MAX_ITERS`` iterations; the estimator and the
+synthesis both use this one cap.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Extra steps taken after reaching tol, and the shortest step fraction tried.
+# Iteration cap of a run, extra steps taken after reaching tol, and the
+# shortest step fraction tried.
+MAX_ITERS = 60
 POLISH_ITERS = 1
 MIN_STEP = 1e-12
 
@@ -19,15 +25,7 @@ class GaussNewtonResult:
     converged: bool
 
 
-def box_gauss_newton(
-    residual,
-    jacobian,
-    x0,
-    lower,
-    upper,
-    tol,
-    max_iters: int = 60,
-):
+def box_gauss_newton(residual, jacobian, x0, lower, upper, tol):
     """Minimize ||residual(x)|| over the box [lower, upper].
 
     residual: handle returning the residual vector at x
@@ -35,7 +33,7 @@ def box_gauss_newton(
     x0: starting point (projected onto the box first)
     tol: stop once the residual norm is at or below this value
 
-    Each iteration solves the Gauss-Newton least-squares step, then halves the
+    Runs at most ``MAX_ITERS`` iterations. Each iteration solves the Gauss-Newton least-squares step, then halves the
     step length until the projected candidate decreases the residual norm.
     After reaching tol, up to ``POLISH_ITERS`` extra steps are taken so the
     returned point is not left sitting right at the tolerance ceiling. Stalling
@@ -49,7 +47,7 @@ def box_gauss_newton(
     if cost <= tol:
         return GaussNewtonResult(x, cost, iters, True)
     polish = POLISH_ITERS
-    while iters < max_iters:
+    while iters < MAX_ITERS:
         jac = np.asarray(jacobian(x), dtype=float)
         if not np.all(np.isfinite(jac)):
             break

@@ -2,7 +2,9 @@
 
 Simulation of x(t+1) = f(x(t), u(t), theta), the stacked prediction map over a
 recorded input history, terminal-state maps for candidate control blocks, and
-finite-difference sensitivity / numeric-rank diagnostics.
+finite-difference sensitivity / numeric-rank diagnostics. Every
+finite-difference Jacobian uses the one relative step ``FD_STEP``.
+``RunFailure`` is the type of every failure that stops a regulation run.
 """
 
 from __future__ import annotations
@@ -14,6 +16,22 @@ from typing import Callable, Sequence
 import numpy as np
 
 Transition = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+
+# Relative step of every finite-difference stencil, scaled by max(1, |x_i|).
+FD_STEP = 1e-6
+
+
+class RunFailure(RuntimeError):
+    """A regulation run, or one of its subsolvers, stopped without reaching the target.
+
+    Inside a run, ``block_index`` is the block whose estimate or synthesis
+    failed (``None`` when a safety cap stopped the run) and ``partial_outcome``
+    is the run log up to the failure; both stay ``None`` for a subsolver
+    called on its own.
+    """
+
+    block_index = None
+    partial_outcome = None
 
 
 class DimensionMismatch(ValueError):
@@ -219,17 +237,15 @@ def terminal_map(model: PlantModel, x0, u_hist: InputSequence, block: InputSeque
     return simulate(model, seq.states[-1], block, theta).states[-1]
 
 
-def fd_jacobian(func, x, step_size: float = 1e-6, lower=None, upper=None) -> np.ndarray:
-    """Central-difference Jacobian of func at x, per-coordinate step scaled by
-    max(1, |x_i|). When a bound clips one side of the stencil the difference
-    degrades gracefully to a one-sided quotient. func is evaluated at x itself
-    only when the bounds pin every coordinate, to size the zero matrix."""
-    if step_size <= 0:
-        raise ValueError("step_size must be positive")
+def fd_jacobian(func, x, lower=None, upper=None) -> np.ndarray:
+    """Central-difference Jacobian of func at x, per-coordinate step FD_STEP
+    scaled by max(1, |x_i|). When a bound clips one side of the stencil the
+    difference degrades gracefully to a one-sided quotient. func is evaluated at
+    x itself only when the bounds pin every coordinate, to size the zero matrix."""
     x = np.asarray(x, dtype=float)
     jac = None
     for i in range(x.size):
-        h = step_size * max(1.0, abs(x[i]))
+        h = FD_STEP * max(1.0, abs(x[i]))
         hi_pt = x[i] + h
         lo_pt = x[i] - h
         if upper is not None:
@@ -253,7 +269,7 @@ def fd_jacobian(func, x, step_size: float = 1e-6, lower=None, upper=None) -> np.
     return jac
 
 
-def jacobian_theta(model: PlantModel, x0, u_hist: InputSequence, theta, fd_step: float = 1e-6) -> np.ndarray:
+def jacobian_theta(model: PlantModel, x0, u_hist: InputSequence, theta) -> np.ndarray:
     """Finite-difference sensitivity of the stacked map to the parameter,
     shape (state_dim * len(u_hist), param_dim). Stencil points are kept inside
     the parameter box."""
@@ -263,13 +279,12 @@ def jacobian_theta(model: PlantModel, x0, u_hist: InputSequence, theta, fd_step:
     return fd_jacobian(
         lambda th: stacked_map(model, x0, u_hist, th),
         theta,
-        fd_step,
-        model.param_lower,
-        model.param_upper,
+        lower=model.param_lower,
+        upper=model.param_upper,
     )
 
 
-def jacobian_input(model: PlantModel, x, block: InputSequence, theta, fd_step: float = 1e-6) -> np.ndarray:
+def jacobian_input(model: PlantModel, x, block: InputSequence, theta) -> np.ndarray:
     """Finite-difference sensitivity of the block's terminal state to the
     flattened block inputs, shape (state_dim, input_dim * len(block))."""
     if len(block) == 0:
@@ -281,15 +296,16 @@ def jacobian_input(model: PlantModel, x, block: InputSequence, theta, fd_step: f
         seq = InputSequence(block.start_time, u_flat.reshape(horizon, model.input_dim))
         return simulate(model, x, seq, theta).states[-1]
 
-    return fd_jacobian(terminal, block.flat, fd_step)
+    return fd_jacobian(terminal, block.flat)
 
 
 def numeric_rank(matrix, rel_tol: float = 1e-8) -> int:
-    """Count singular values above rel_tol times the largest one (0 for the zero matrix)."""
+    """Count singular values above rel_tol times the largest one (0 for the zero
+    matrix, and for a non-finite one, such as the Jacobian of an overflowing replay)."""
     if not 0.0 < rel_tol < 1.0:
         raise ValueError("rel_tol must lie in (0, 1)")
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if matrix.size == 0:
+    if matrix.size == 0 or not np.all(np.isfinite(matrix)):
         return 0
     sv = np.linalg.svd(matrix, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
@@ -298,9 +314,10 @@ def numeric_rank(matrix, rel_tol: float = 1e-8) -> int:
 
 
 def smallest_singular_value(matrix, n_cols: int) -> float:
-    """The n_cols-th singular value; 0 when the matrix has fewer rows than columns."""
+    """The n_cols-th singular value; 0 when the matrix has fewer rows than
+    columns or is not finite."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if matrix.size == 0:
+    if matrix.size == 0 or not np.all(np.isfinite(matrix)):
         return 0.0
     sv = np.linalg.svd(matrix, compute_uv=False)
     if sv.size < n_cols:
@@ -317,13 +334,7 @@ class ExcitationReport:
     min_singular_value: float
 
 
-def excitation_rank_check(
-    model: PlantModel,
-    u_exc: InputSequence,
-    samples: Sequence[tuple],
-    rel_tol: float = 1e-8,
-    fd_step: float = 1e-6,
-) -> ExcitationReport:
+def excitation_rank_check(model: PlantModel, u_exc: InputSequence, samples: Sequence[tuple]) -> ExcitationReport:
     """Check that the excitation makes the stacked map fully parameter-sensitive.
 
     Passes iff the stacked-map parameter Jacobian has full column rank at every
@@ -335,8 +346,8 @@ def excitation_rank_check(
     worst = samples[0]
     worst_sigma = np.inf
     for x0, theta in samples:
-        jac = jacobian_theta(model, x0, u_exc, theta, fd_step)
-        if numeric_rank(jac, rel_tol) != model.param_dim:
+        jac = jacobian_theta(model, x0, u_exc, theta)
+        if numeric_rank(jac) != model.param_dim:
             passed = False
         sigma = smallest_singular_value(jac, model.param_dim)
         if sigma < worst_sigma:
@@ -345,17 +356,9 @@ def excitation_rank_check(
     return ExcitationReport(passed, worst, float(worst_sigma))
 
 
-def controllability_rank_check(
-    model: PlantModel,
-    x,
-    theta,
-    block: InputSequence,
-    rel_tol: float = 1e-8,
-    fd_step: float = 1e-6,
-) -> bool:
+def controllability_rank_check(model: PlantModel, x, theta, block: InputSequence) -> bool:
     """True iff the terminal state is fully input-sensitive along the block."""
-    jac = jacobian_input(model, x, block, theta, fd_step)
-    return numeric_rank(jac, rel_tol) == model.state_dim
+    return numeric_rank(jacobian_input(model, x, block, theta)) == model.state_dim
 
 
 def param_grid(model: PlantModel, per_axis: int):

@@ -9,7 +9,13 @@ block. The inexact mode runs the shrinking-tolerance schedule: per block the
 estimation tolerance is contracted and the sensitivity multiplier expanded by
 the same factor, and the block is only applied once a conservative
 sensitivity-ball check confirms that every parameter hypothesis near the
-estimate predicts a terminal state inside half the termination ball.
+estimate predicts a terminal state inside half the termination ball. That
+check samples ``PROBE_COUNT`` hypotheses and demands a margin of ``SAFETY`` on
+its Lipschitz bound.
+
+Every way a run can stop short is a ``RunFailure`` that carries the block it
+stopped in and the log up to there: a safety cap raises a ``RegulatorError``,
+a subsolver a ``NotConverged`` or an ``Infeasible``.
 """
 
 from __future__ import annotations
@@ -20,10 +26,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .estimator import NotConverged, ObservationHistory, estimate
+from .estimator import ObservationHistory, estimate
 from .plant import (
     InputSequence,
     PlantModel,
+    RunFailure,
     StateSequence,
     as_inputs,
     excitation_rank_check,
@@ -31,9 +38,14 @@ from .plant import (
     simulate,
     terminal_map,
 )
-from .synthesis import ControlPlan, Infeasible, SynthesisBounds, synthesize
+from .synthesis import ControlPlan, SynthesisBounds, synthesize
 
 BoundsFn = Callable[[np.ndarray], SynthesisBounds]
+
+# Hypotheses the inclusion check samples from the parameter ball, and the
+# margin it demands on the Lipschitz bound.
+PROBE_COUNT = 8
+SAFETY = 1.5
 
 
 @dataclass(frozen=True)
@@ -86,7 +98,7 @@ class RunOutcome:
     final_error: float
 
 
-class RegulatorError(RuntimeError):
+class RegulatorError(RunFailure):
     """Run aborted by a safety cap; ``partial_outcome`` holds the log so far."""
 
     def __init__(self, message: str, partial_outcome: RunOutcome):
@@ -118,18 +130,16 @@ def inclusion_check(
     plan: ControlPlan,
     radius: float,
     bound: float,
-    probe_count: int = 8,
     seed: int = 0,
-    safety: float = 1.5,
-    fd_step: float = 1e-6,
 ) -> bool:
     """Conservative test that the whole parameter ball maps inside the target ball.
 
     Estimates a Lipschitz constant of the terminal map from its parameter
     Jacobian (spectral norm) at the estimate and at seeded samples of the
-    radius ball intersected with the parameter box, and additionally verifies
-    that each sampled hypothesis lands within ``bound`` of the nominal
-    prediction. True iff L * radius * safety <= bound and all samples pass.
+    radius ball intersected with the parameter box (``PROBE_COUNT`` samples),
+    and additionally verifies that each sampled hypothesis lands within
+    ``bound`` of the nominal prediction. True iff L * radius * SAFETY <= bound
+    and all samples pass.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -143,7 +153,7 @@ def inclusion_check(
         return terminal_map(model, history.x0, history.applied_inputs, plan.block, th)
 
     def spectral(th):
-        jac = fd_jacobian(terminal, th, fd_step, model.param_lower, model.param_upper)
+        jac = fd_jacobian(terminal, th, lower=model.param_lower, upper=model.param_upper)
         sv = np.linalg.svd(jac, compute_uv=False)
         return float(sv[0]) if sv.size else 0.0
 
@@ -151,7 +161,7 @@ def inclusion_check(
     lipschitz = spectral(theta)
     rng = np.random.default_rng(seed)
     n = model.param_dim
-    for _ in range(probe_count):
+    for _ in range(PROBE_COUNT):
         direction = rng.standard_normal(n)
         length = float(np.linalg.norm(direction))
         if length == 0.0:
@@ -162,7 +172,7 @@ def inclusion_check(
         lipschitz = max(lipschitz, spectral(point))
         if float(np.linalg.norm(terminal(point) - nominal)) >= bound:
             return False
-    return lipschitz * radius * safety <= bound
+    return lipschitz * radius * SAFETY <= bound
 
 
 class _RunLog:
@@ -239,7 +249,7 @@ def _run_blocks(model, theta_true, x0, u_exc, bounds_fn, solver, max_blocks, *, 
                 plan = synthesize(
                     model, history, est.theta, bounds_k, synth_tol, seed=int(seed_rng.integers(2**63))
                 )
-            except (NotConverged, Infeasible) as err:
+            except RunFailure as err:
                 err.block_index = k
                 err.partial_outcome = log.outcome(False)
                 raise
@@ -276,7 +286,8 @@ def run_exact(
 
     Terminates once the measured state is within tol_exact of the target.
     Raises MaxBlocksExceeded past the block cap; estimation or synthesis
-    failures propagate with ``block_index`` and ``partial_outcome`` attached.
+    failures propagate as the subsolver's RunFailure with ``block_index`` and
+    ``partial_outcome`` filled in.
     """
     if tol_exact <= 0:
         raise ValueError("tol_exact must be positive")

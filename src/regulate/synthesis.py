@@ -1,7 +1,8 @@
 """Finite-horizon control-block synthesis.
 
 Searches for the shortest input block within the configured horizon and
-amplitude bounds that drives the predicted terminal state onto the target.
+amplitude bounds that drives the predicted terminal state onto the target,
+running Gauss-Newton from ``MULTISTART_COUNT`` starts at each horizon.
 """
 
 from __future__ import annotations
@@ -13,13 +14,16 @@ import numpy as np
 
 from .estimator import ObservationHistory
 from .gauss_newton import box_gauss_newton
-from .plant import InputSequence, PlantModel, jacobian_input, simulate
+from .plant import InputSequence, PlantModel, RunFailure, jacobian_input, simulate
 # Not called here; kept importable under this module's name, where the
 # benchmark's span tracer looks it up.
 from .plant import terminal_map  # noqa: F401
 
+# Gauss-Newton starts per horizon: the zero block and seeded random blocks.
+MULTISTART_COUNT = 5
 
-class Infeasible(RuntimeError):
+
+class Infeasible(RunFailure):
     """No admissible block reaches the target; bad bounds or a bad parameter estimate."""
 
 
@@ -57,10 +61,7 @@ def synthesize(
     theta,
     bounds: SynthesisBounds,
     tol: float,
-    max_iters: int = 60,
-    multistart_count: int = 5,
     seed: int = 0,
-    fd_step: float = 1e-6,
 ) -> ControlPlan:
     """Find the shortest admissible block whose predicted terminal error is below tol.
 
@@ -90,14 +91,14 @@ def synthesize(
             return simulate(model, x_here, block_of(u_flat), theta).states[-1] - model.target
 
         def jac(u_flat):
-            return jacobian_input(model, x_here, block_of(u_flat), theta, fd_step)
+            return jacobian_input(model, x_here, block_of(u_flat), theta)
 
         starts = [np.zeros(dim)]
-        for _ in range(multistart_count - 1):
+        for _ in range(MULTISTART_COUNT - 1):
             starts.append(rng.uniform(-rho, rho, size=dim))
         winners = []
         for s in starts:
-            run = box_gauss_newton(res, jac, s, lower, upper, tol, max_iters)
+            run = box_gauss_newton(res, jac, s, lower, upper, tol)
             if run.residual_norm < tol:
                 winners.append(run.x)
         if winners:
@@ -119,9 +120,6 @@ def feasibility_probe(
     theta_samples: Sequence,
     tol: float,
     seed: int = 0,
-    max_iters: int = 60,
-    multistart_count: int = 5,
-    fd_step: float = 1e-6,
 ) -> FeasibilityReport:
     """Empirical check that the bounds cover every sampled parameter from state x.
 
@@ -137,11 +135,7 @@ def feasibility_probe(
     all_ok = True
     for i, theta in enumerate(theta_samples):
         try:
-            plan = synthesize(
-                model, blank, theta, bounds, tol,
-                max_iters=max_iters, multistart_count=multistart_count,
-                seed=seed + i, fd_step=fd_step,
-            )
+            plan = synthesize(model, blank, theta, bounds, tol, seed=seed + i)
         except Infeasible:
             all_ok = False
             continue

@@ -1,10 +1,16 @@
 import csv
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from regulate import get_model
 from regulate.cli import (
     ExperimentConfig,
     ParseError,
@@ -278,3 +284,170 @@ class TestMain:
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "s1"), "--seed", "9"]) == 0
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "s2"), "--seed", "9"]) == 0
         assert (tmp_path / "s1" / "blocks.csv").read_bytes() == (tmp_path / "s2" / "blocks.csv").read_bytes()
+
+
+NON_FINITE_CASES = [
+    ("run", EXACT_SCALAR, "x0", [float("nan")]),
+    ("check-excitation", EXACT_SCALAR, "x0", [float("nan")]),
+    ("run", EXACT_SCALAR, "excitation", [[float("nan")]]),
+    ("check-excitation", EXACT_SCALAR, "excitation", [[float("nan")]]),
+    ("run", EXACT_SCALAR, "max_blocks", float("inf")),
+    ("run", EXACT_SCALAR, "seed", float("nan")),
+    ("run", EXACT_SCALAR, "n_max", float("inf")),
+    ("run", EXACT_SCALAR, "rho_max", float("inf")),
+    ("run", EXACT_SCALAR, "tol_exact", float("inf")),
+    ("run", INEXACT_BILINEAR, "eps_fin", float("inf")),
+    ("run", INEXACT_BILINEAR, "beta", float("nan")),
+    # Finite, but the synthesis draws its starts from [-1e308, 1e308].
+    ("run", EXACT_SCALAR, "rho_max", 1e308),
+]
+
+
+@pytest.mark.parametrize("command, base, field, value", NON_FINITE_CASES)
+def test_non_finite_config_value(tmp_path, capsys, command, base, field, value):
+    # json.dumps writes NaN and Infinity, which json.loads accepts.
+    config_path = write_config(tmp_path, dict(base, **{field: value}))
+    args = [command, "--config", str(config_path)]
+    if command == "run":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert f"{field}: " in err and "finite" in err
+
+
+@pytest.mark.parametrize("command", ["run", "check-excitation"])
+def test_overflowing_excitation(tmp_path, capsys, command):
+    # The replay overflows, so the rank check sees a non-finite Jacobian: it
+    # fails without reaching the SVD, and the run goes on to its solver failure.
+    config_path = write_config(tmp_path, dict(EXACT_SCALAR, excitation=[[1e308], [1e308]]))
+    args = [command, "--config", str(config_path)]
+    if command == "run":
+        args += ["--out", str(tmp_path / "out")]
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(args) == 3
+    captured = capsys.readouterr()
+    if command == "run":
+        assert captured.err.startswith("solver failed:")
+    else:
+        assert "rank check: FAIL" in captured.out
+
+
+class TestFileAndUsageErrors:
+    """Each exits 3 with one ``config error:`` line."""
+
+    def run_main(self, capsys, args):
+        code = main([str(a) for a in args])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        return err
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        self.run_main(capsys, ["run", "--config", tmp_path, "--out", tmp_path / "out"])
+
+    def test_config_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert "not UTF-8" in self.run_main(capsys, ["run", "--config", path, "--out", tmp_path / "out"])
+
+    def test_out_is_an_existing_file(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, EXACT_SCALAR)
+        self.run_main(capsys, ["run", "--config", config_path, "--out", config_path])
+
+    def test_run_without_config(self, capsys):
+        assert "--config" in self.run_main(capsys, ["run"])
+
+    def test_trajectory_is_not_utf8(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, EXACT_SCALAR)
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "trajectory.csv").write_bytes(b"t,x_1\n\xff\n")
+        self.run_main(capsys, ["verify", "--config", config_path, "--out", tmp_path / "out"])
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--help"])
+        assert excinfo.value.code == 0
+        assert "--config" in capsys.readouterr().out
+
+
+# Values of the wrong kind or out of range, drawn in place of a valid field.
+ODD_VALUES = [None, True, False, "1", "abc", float("nan"), float("inf"), -float("inf"), -1, 0, -1e308, 1e308]
+# Counts keep their odd values small: a large max_blocks or max_inner_retries
+# makes a run longer, and a large n_max can make the synthesis search without end.
+ODD_COUNTS = [v for v in ODD_VALUES if v != 1e308]
+PLANT_NAMES = ["scalar_linear", "affine_2d", "bilinear_scalar"]
+
+
+def _vectors(dim, lo, hi):
+    return st.lists(st.floats(lo, hi), min_size=dim, max_size=dim)
+
+
+def _odd_vectors(dim):
+    """A list of the wrong length, one holding an odd value, or an odd scalar."""
+    return st.one_of(
+        st.lists(st.floats(-2.0, 2.0), min_size=0, max_size=dim + 2).filter(lambda v: len(v) != dim),
+        st.lists(st.sampled_from(ODD_VALUES), min_size=dim, max_size=dim),
+        st.sampled_from(ODD_VALUES),
+    )
+
+
+@st.composite
+def configs(draw):
+    """A valid config with up to three fields omitted, up to three replaced by
+    odd values, and now and then an unknown key."""
+    name = draw(st.sampled_from(PLANT_NAMES))
+    model = get_model(name).model
+    excitation = st.lists(_vectors(model.input_dim, -1.0, 1.0), min_size=0, max_size=3)
+    valid = {
+        "model": st.just(name),
+        "theta_true": st.tuples(*(st.floats(lo, hi) for lo, hi in model.param_box)).map(list),
+        "x0": _vectors(model.state_dim, -2.0, 2.0),
+        "algorithm": st.sampled_from(["exact", "inexact"]),
+        "tol_exact": st.floats(1e-12, 1e-6),
+        "beta": st.floats(0.1, 0.9),
+        "mu0": st.floats(1e-3, 10.0),
+        "kappa0": st.floats(1e-6, 10.0),
+        "eps_fin": st.floats(1e-4, 1e-1),
+        "n_max": st.one_of(st.none(), st.integers(1, 3)),
+        "rho_max": st.one_of(st.none(), st.floats(0.01, 5.0)),
+        "excitation": st.one_of(st.none(), excitation),
+        "seed": st.integers(0, 2**32),
+        "max_blocks": st.integers(0, 3),
+        "max_inner_retries": st.integers(0, 3),
+    }
+    odd = {
+        "model": st.sampled_from(["pendulum"] + ODD_VALUES),
+        "theta_true": _odd_vectors(model.param_dim),
+        "x0": _odd_vectors(model.state_dim),
+        "excitation": st.one_of(st.lists(_odd_vectors(model.input_dim), min_size=1, max_size=2), _odd_vectors(1)),
+        "n_max": st.sampled_from(ODD_COUNTS),
+        "max_blocks": st.sampled_from(ODD_COUNTS),
+        "max_inner_retries": st.sampled_from(ODD_COUNTS),
+    }
+    config = {key: draw(value) for key, value in valid.items()}
+    keys = sorted(config)
+    for key in draw(st.lists(st.sampled_from(keys), max_size=3, unique=True)):
+        del config[key]
+    for key in draw(st.lists(st.sampled_from(keys), max_size=3, unique=True)):
+        config[key] = draw(odd.get(key, st.sampled_from(ODD_VALUES)))
+    if draw(st.integers(0, 9)) == 9:
+        config["bogus"] = 1
+    return config
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(config=configs())
+def test_exit_code_contract(config):
+    """Every config exits 0, 2 or 3 without a traceback, and the logs of a run
+    that ended with 0 or 2 replay."""
+    with tempfile.TemporaryDirectory() as workdir, np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        config_path = write_config(Path(workdir), config)
+        out = str(Path(workdir) / "out")
+        code = main(["run", "--config", str(config_path), "--out", out])
+        assert code in (0, 2, 3)
+        if code in (0, 2):
+            assert main(["verify", "--config", str(config_path), "--out", out]) == 0
+        assert main(["check-excitation", "--config", str(config_path)]) in (0, 3)

@@ -12,7 +12,6 @@ import dataclasses
 import importlib
 import json
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -309,24 +308,7 @@ def test_end_to_end_matches_reference(name, algorithm, tmp_path, monkeypatch):
 
 
 # The two block loops as they were before they became one, with the run log
-# that kept the trajectory as Python lists of rows. The subsolver settings they
-# read are the defaults of the options they took.
-
-
-@dataclass(frozen=True)
-class ReferenceSolverOptions:
-    estimate_max_iters: int = 60
-    estimate_multistart_grid: int = 3
-    synth_max_iters: int = 60
-    synth_multistart: int = 5
-    fd_step: float = 1e-6
-    seed: int = 0
-
-
-@dataclass(frozen=True)
-class ReferenceInclusionOptions:
-    probe_count: int = 8
-    safety: float = 1.5
+# that kept the trajectory as Python lists of rows.
 
 
 class ReferenceRunLog:
@@ -398,7 +380,7 @@ def reference_abort(err_cls, message, log):
 
 def reference_run_exact(
     model, theta_true, x0, u_exc, *, bounds_fn, tol_exact=1e-10,
-    solver=ReferenceSolverOptions(), max_blocks=50,
+    solver=SolverOptions(), max_blocks=50,
 ):
     if tol_exact <= 0:
         raise ValueError("tol_exact must be positive")
@@ -413,14 +395,10 @@ def reference_run_exact(
             raise reference_abort(MaxBlocksExceeded, f"{max_blocks} blocks without termination", log)
         history = log.history()
         try:
-            est = estimate(
-                model, history, theta_guess, tol_exact,
-                solver.estimate_max_iters, solver.estimate_multistart_grid, solver.fd_step,
-            )
+            est = estimate(model, history, theta_guess, tol_exact)
             plan = synthesize(
                 model, history, est.theta, bounds_fn(log.x), tol_exact,
-                solver.synth_max_iters, solver.synth_multistart,
-                int(seed_rng.integers(2**63)), solver.fd_step,
+                int(seed_rng.integers(2**63)),
             )
         except (NotConverged, Infeasible) as err:
             err.block_index = k
@@ -440,8 +418,7 @@ def reference_run_exact(
 
 def reference_run_inexact(
     model, theta_true, x0, u_exc, schedule0, *, bounds_fn,
-    solver=ReferenceSolverOptions(), inclusion=ReferenceInclusionOptions(),
-    max_blocks=50, max_inner_retries=60,
+    solver=SolverOptions(), max_blocks=50, max_inner_retries=60,
 ):
     log = reference_prepare(model, theta_true, x0, u_exc)
     seed_rng = np.random.default_rng(solver.seed)
@@ -462,14 +439,10 @@ def reference_run_inexact(
         retries = 0
         while True:
             try:
-                est = estimate(
-                    model, history, theta_guess, mu,
-                    solver.estimate_max_iters, solver.estimate_multistart_grid, solver.fd_step,
-                )
+                est = estimate(model, history, theta_guess, mu)
                 plan = synthesize(
                     model, history, est.theta, bounds_k, 0.5 * eps_fin,
-                    solver.synth_max_iters, solver.synth_multistart,
-                    int(seed_rng.integers(2**63)), solver.fd_step,
+                    int(seed_rng.integers(2**63)),
                 )
             except (NotConverged, Infeasible) as err:
                 err.block_index = k
@@ -478,8 +451,7 @@ def reference_run_inexact(
             theta_guess = est.theta
             if inclusion_check(
                 model, history, est.theta, plan, kappa * mu, 0.5 * eps_fin,
-                inclusion.probe_count, int(seed_rng.integers(2**63)),
-                inclusion.safety, solver.fd_step,
+                int(seed_rng.integers(2**63)),
             ):
                 break
             retries += 1
@@ -522,9 +494,9 @@ def _both_loops(name, algorithm, *, theta_true=None, x0=None, tail=0, bounds=Non
         "inexact": (run_inexact, reference_run_inexact),
     }[algorithm]
     results = []
-    for runner, solver in zip(runs, (SolverOptions(seed=5), ReferenceSolverOptions(seed=5))):
+    for runner in runs:
         try:
-            results.append(runner(*args, solver=solver, **options))
+            results.append(runner(*args, solver=SolverOptions(seed=5), **options))
         except Exception as err:
             results.append(err)
     return results

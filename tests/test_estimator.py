@@ -8,10 +8,12 @@ from regulate import (
     estimate,
     get_model,
     identifiability_margin,
+    jacobian_theta,
     residual_norm,
     simulate,
 )
 from regulate.estimator import residual_vector
+from regulate.gauss_newton import box_gauss_newton
 from regulate.plant import StateSequence, as_inputs
 
 SCALAR = get_model("scalar_linear").model
@@ -108,11 +110,20 @@ class TestEstimate:
                 assert result.residual <= 1e-9
 
     def test_multistart_escapes_bad_start(self):
-        # Bilinear two-step data identified from the far corner of the box.
+        # From the box corner (0.5, 0) a lone Gauss-Newton run stalls on this
+        # bilinear two-step history; the restart grid must find theta_true.
         theta_true = [0.95, 0.05]
-        hist = make_history(BILINEAR, [1.0], [0.0, 0.5], theta_true)
-        result = estimate(BILINEAR, hist, [0.5, 0.4], tol=1e-9, multistart_grid=4)
-        assert result.converged
+        start = [0.5, 0.0]
+        hist = make_history(BILINEAR, [1.0], [-0.5, 1.0], theta_true)
+        lone = box_gauss_newton(
+            lambda th: residual_vector(BILINEAR, hist, th),
+            lambda th: jacobian_theta(BILINEAR, hist.x0, hist.applied_inputs, th),
+            start, BILINEAR.param_lower, BILINEAR.param_upper, 1e-9,
+        )
+        assert not lone.converged
+        assert_allclose(lone.residual_norm, 0.60, atol=0.01)
+        result = estimate(BILINEAR, hist, start, tol=1e-9)
+        assert result.converged and result.residual <= 1e-9
         assert_allclose(result.theta, theta_true, atol=1e-6)
 
     def test_invalid_arguments(self):

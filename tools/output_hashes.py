@@ -1,6 +1,7 @@
 """Hash every output of every perfbench operation, one line per operation.
 
     python3 tools/output_hashes.py --seed N [--out FILE]
+    python3 tools/output_hashes.py --check FILE
 
 Builds the operations of both perfbench workloads for seed N (21
 ``long_history_inexact`` library runs and 192 ``cli_sweep`` run + verify
@@ -12,8 +13,10 @@ pairs), runs each once, and hashes its outputs with SHA-256:
   ``blocks.csv`` and ``summary.jsonl`` without its ``wall_time``.
 
 Each line also holds the operation's transition count. A change that must
-leave every output as it is diffs this file against the committed
-``OUTPUTS_seed<N>.json``. Another numpy or BLAS build can move the last bits
+leave every output as it is runs ``--check`` on the committed
+``OUTPUTS_seed<N>.json``: it recomputes the hashes at that file's seed, prints
+each operation whose hash or transition count differs, and exits 1 if any
+differs, 0 if none does. Another numpy or BLAS build can move the last bits
 of ``lstsq`` and ``svd``, so the file names the versions it was taken with,
 and the comparison is not part of the tier-1 tests.
 """
@@ -118,15 +121,37 @@ def operation_hashes(seed: int) -> list:
     return rows
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--out", help="file to write (default: standard output)")
-    args = parser.parse_args(argv)
+def _quiet_hashes(seed: int) -> list:
+    """``operation_hashes`` with the runs' warnings and messages suppressed."""
     with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()):
         warnings.simplefilter("ignore")
         with np.errstate(all="ignore"):
-            rows = operation_hashes(args.seed)
+            return operation_hashes(seed)
+
+
+def check(path) -> int:
+    """Recompute the hashes at the seed of the file at ``path`` and print every
+    operation that differs from it; 1 if any does, 0 if none does."""
+    expected = json.loads(Path(path).read_text(encoding="utf-8"))
+    want = {row["op"]: (row["transitions"], row["sha256"]) for row in expected["operations"]}
+    got = {name: (count, digest) for name, count, digest in _quiet_hashes(expected["seed"])}
+    differ = [name for name in sorted(want.keys() | got.keys()) if want.get(name) != got.get(name)]
+    for name in differ:
+        print(f"{name}: expected {want.get(name)}, got {got.get(name)}")
+    print(f"{len(differ)} of {len(want)} operations differ from {path} (seed {expected['seed']})")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--seed", type=int)
+    mode.add_argument("--check", metavar="FILE", help="compare against FILE at its seed")
+    parser.add_argument("--out", help="file to write (default: standard output)")
+    args = parser.parse_args(argv)
+    if args.check:
+        return check(args.check)
+    rows = _quiet_hashes(args.seed)
     header = {"seed": args.seed, "python": platform.python_version(), "numpy": np.__version__}
     lines = [json.dumps(header)[:-1] + ', "operations": [']
     lines += [
