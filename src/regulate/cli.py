@@ -1,14 +1,15 @@
 """Batch experiment front end.
 
 Reads a JSON config, runs one regulation experiment on a benchmark plant, and
-writes machine-readable logs: trajectory.csv, blocks.csv, summary.jsonl.
-Exit codes: 0 run terminated, 2 a safety cap was hit, 3 a usage error, a
-config or log file that cannot be read or is invalid (a non-finite number
-included), an output directory that cannot be made, or solver
-infeasibility. ``verify`` replays the logged inputs against the true plant
-(exit 0 on a match, 1 on a mismatch, 3 when the log is missing, is not a
-table of numbers or does not fit the config) and ``check-excitation`` reports
-the identifiability diagnostics.
+writes machine-readable logs: trajectory.csv, blocks.csv, summary.jsonl. Each
+config default is stated in ``ExperimentConfig``, each numeric rule in
+``_NUMBERS``, and the ``--seed`` and ``--out`` overrides meet the same rules.
+Exit codes: 0 run terminated, 2 a safety cap was hit, 3 a usage error, an
+unreadable or invalid config or log (a string, a boolean, a non-finite number
+or an integer too large for a double where a number belongs included), an
+output directory that cannot be made, or solver infeasibility. ``verify``
+replays the logged inputs (exit 0 on a match, 1 on a mismatch, 3 when the log
+is missing or does not fit) and ``check-excitation`` reports identifiability.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -54,6 +55,8 @@ class ValidationError(ValueError):
 
 @dataclass
 class ExperimentConfig:
+    """One experiment; a field that the config leaves out takes its default here."""
+
     model: str
     theta_true: np.ndarray
     x0: np.ndarray
@@ -65,152 +68,145 @@ class ExperimentConfig:
     eps_fin: float = 1e-3
     n_max: Optional[int] = None
     rho_max: Optional[float] = None
-    excitation: Optional[np.ndarray] = None
+    excitation: Optional[InputSequence] = None
     seed: int = 0
     max_blocks: int = 50
     max_inner_retries: int = 60
     out_dir: Optional[str] = None
 
 
-_KNOWN_FIELDS = {
-    "model", "theta_true", "x0", "algorithm", "tol_exact", "beta", "mu0",
-    "kappa0", "eps_fin", "n_max", "rho_max", "excitation", "seed",
-    "max_blocks", "max_inner_retries", "out_dir",
+# Each numeric field's rule: its type, its lower limit (a real must exceed it,
+# an integer reach it), and any further (test of the value and the algorithm,
+# message). A null is accepted only where the default is None, and means that
+# default.
+_NUMBERS = {
+    "tol_exact": (float, 0, None),
+    "beta": (float, None, (lambda beta, algorithm: algorithm != "inexact" or 0.0 < beta < 1.0,
+                           "must satisfy 0<beta<1")),
+    "mu0": (float, 0, None),
+    "kappa0": (float, 0, None),
+    "eps_fin": (float, 0, None),
+    "n_max": (int, 1, None),
+    # The synthesis draws its starts from [-rho_max, rho_max].
+    "rho_max": (float, 0, (lambda rho_max, _: math.isfinite(2.0 * rho_max),
+                           "the amplitude box must have a finite width")),
+    "seed": (int, 0, None),
+    "max_blocks": (int, 0, None),
+    "max_inner_retries": (int, 0, None),
 }
 
 
-def load_config(path) -> ExperimentConfig:
-    """Parse and validate a config file; all validation failures are reported together."""
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, not a boolean or a string."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(value, kind, low, further, algorithm):
+    """A numeric field's value as ``kind``, checked by its rule; ValueError names
+    the problem, and OverflowError an integer too large for a double."""
+    if not _is_number(value):
+        raise ValueError(f"must be a number (got {value!r})")
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite (got {value!r})")
+    if kind is int and int(value) != value:
+        raise ValueError(f"must be an integer (got {value!r})")
+    if low is not None and kind is float and not value > low:
+        raise ValueError(f"must be positive (got {value!r})")
+    if low is not None and kind is int and value < low:
+        raise ValueError(f"must be >= {low} (got {value!r})")
+    value = kind(value)
+    if further is not None and not further[0](value, algorithm):
+        raise ValueError(f"{further[1]} (got {value!r})")
+    return value
+
+
+def _array(value, read, *args):
+    """``read(value, *args)`` once every leaf of the array ``value`` is known to be
+    a JSON number that is finite as a double; ValueError names the problem, and
+    OverflowError an integer too large for a double."""
+    result = read(value, *args)
+    if not np.all(np.isfinite(np.asarray(value, dtype=float))):
+        raise ValueError("must be finite")
+    odd = [leaf for leaf in np.asarray(value, dtype=object).flat if not _is_number(leaf)]
+    if odd:
+        raise ValueError(f"must hold only numbers (got {odd[0]!r})")
+    return result
+
+
+def _vector(value, dim):
+    """A vector of ``dim`` coordinates, of any length when ``dim`` is None."""
+    if value is None:
+        raise ValueError("required")
+    try:
+        arr = np.asarray(value, dtype=float).reshape(-1)
+    except (TypeError, ValueError):
+        raise ValueError("must be a numeric vector") from None
+    if dim is not None and arr.shape != (dim,):
+        raise ValueError(f"expected {dim} coordinates, got {arr.size}")
+    return arr
+
+
+def load_config(path, **overrides) -> ExperimentConfig:
+    """Parse and validate a config file; all validation failures are reported together.
+    ``overrides`` that are not None (the command line's ``seed`` and ``out_dir``)
+    replace the file's fields and meet the same rules."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
         raise ParseError(f"{path}: not UTF-8 text ({err})") from None
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
+        # Besides malformed JSON: an integer of more digits than Python reads, or deep nesting.
         raise ParseError(f"{path}: not valid JSON ({err})") from None
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
+    raw.update((key, value) for key, value in overrides.items() if value is not None)
 
-    problems = []
-    for key in sorted(set(raw) - _KNOWN_FIELDS):
-        problems.append(f"{key}: unknown field")
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+    problems = [f"{key}: unknown field" for key in sorted(raw.keys() - defaults.keys())]
+    values = {key: raw.get(key, defaults[key]) for key in ("model", "algorithm", "out_dir")}
 
-    def take(name, default=None):
-        return raw.get(name, default)
+    def check(name, read, *args):
+        try:
+            values[name] = read(raw.get(name), *args)
+        except OverflowError:
+            problems.append(f"{name}: must be finite (got an integer too large for a double)")
+        except (TypeError, ValueError) as err:
+            problems.append(f"{name}: {err}")
 
-    name = take("model")
-    if not isinstance(name, str):
+    spec = None
+    if not isinstance(values["model"], str):
         problems.append("model: required, must be a benchmark name string")
-        spec = None
     else:
         try:
-            spec = get_model(name)
+            spec = get_model(values["model"])
         except UnknownModel as err:
             problems.append(f"model: {err}")
-            spec = None
-
-    def number(field_name, default, positive=False, integer=False, minimum=None):
-        value = take(field_name, default)
-        if value is None and default is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            problems.append(f"{field_name}: must be a number (got {value!r})")
-            return default
-        if not math.isfinite(value):
-            problems.append(f"{field_name}: must be finite (got {value!r})")
-            return default
-        if integer and int(value) != value:
-            problems.append(f"{field_name}: must be an integer (got {value!r})")
-            return default
-        if positive and not value > 0:
-            problems.append(f"{field_name}: must be positive (got {value!r})")
-            return default
-        if minimum is not None and value < minimum:
-            problems.append(f"{field_name}: must be >= {minimum} (got {value!r})")
-            return default
-        return int(value) if integer else float(value)
-
-    def vector(field_name, dim, required=True):
-        value = take(field_name)
-        if value is None:
-            if required:
-                problems.append(f"{field_name}: required")
-            return None
-        try:
-            arr = np.asarray(value, dtype=float).reshape(-1)
-        except (TypeError, ValueError):
-            problems.append(f"{field_name}: must be a numeric vector")
-            return None
-        if dim is not None and arr.shape != (dim,):
-            problems.append(f"{field_name}: expected {dim} coordinates, got {arr.size}")
-            return None
-        if not np.all(np.isfinite(arr)):
-            problems.append(f"{field_name}: must be finite")
-            return None
-        return arr
-
-    algorithm = take("algorithm", "exact")
+    algorithm = values["algorithm"]
     if algorithm not in ("exact", "inexact"):
         problems.append(f"algorithm: must be 'exact' or 'inexact' (got {algorithm!r})")
 
-    theta_true = vector("theta_true", spec.model.param_dim if spec else None)
-    x0 = vector("x0", spec.model.state_dim if spec else None)
-    if spec is not None and theta_true is not None and not spec.model.contains_params(theta_true):
-        box = ", ".join(f"[{lo:g}, {hi:g}]" for lo, hi in spec.model.param_box)
+    model = spec.model if spec else None
+    for name, dim in (("theta_true", model and model.param_dim), ("x0", model and model.state_dim)):
+        check(name, _array, _vector, dim)
+    if model is not None and "theta_true" in values and not model.contains_params(values["theta_true"]):
+        box = ", ".join(f"[{lo:g}, {hi:g}]" for lo, hi in model.param_box)
         problems.append(f"theta_true: outside the admissible box {box}")
 
-    tol_exact = number("tol_exact", 1e-10, positive=True)
-    beta = number("beta", 0.5)
-    if algorithm == "inexact" and not 0.0 < beta < 1.0:
-        problems.append(f"beta: must satisfy 0<beta<1 (got {beta!r})")
-    mu0 = number("mu0", 1.0, positive=True)
-    kappa0 = number("kappa0", 1.0, positive=True)
-    eps_fin = number("eps_fin", 1e-3, positive=True)
-    n_max = number("n_max", None, integer=True, minimum=1)
-    rho_max = number("rho_max", None, positive=True)
-    if rho_max is not None and not math.isfinite(2.0 * rho_max):
-        # The synthesis draws its starts from [-rho_max, rho_max].
-        problems.append(f"rho_max: the amplitude box must have a finite width (got {rho_max!r})")
-    seed = number("seed", 0, integer=True, minimum=0)
-    max_blocks = number("max_blocks", 50, integer=True, minimum=0)
-    max_inner_retries = number("max_inner_retries", 60, integer=True, minimum=0)
+    for name, (kind, low, further) in _NUMBERS.items():
+        if name in raw and (raw[name] is not None or defaults[name] is not None):
+            check(name, _number, kind, low, further, algorithm)
 
-    excitation = None
-    if take("excitation") is not None and spec is not None:
-        try:
-            excitation = as_inputs(take("excitation"), spec.model.input_dim, start_time=0)
-        except (ValueError, TypeError) as err:
-            problems.append(f"excitation: {err}")
-        else:
-            if not np.all(np.isfinite(excitation.inputs)):
-                problems.append("excitation: must be finite")
+    if raw.get("excitation") is not None and model is not None:
+        check("excitation", _array, as_inputs, model.input_dim)
 
-    out_dir = take("out_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        problems.append(f"out_dir: must be a string (got {out_dir!r})")
-        out_dir = None
+    if values["out_dir"] is not None and not isinstance(values["out_dir"], str):
+        problems.append(f"out_dir: must be a string (got {values['out_dir']!r})")
 
     if problems:
         raise ValidationError(problems)
-    return ExperimentConfig(
-        model=name,
-        theta_true=theta_true,
-        x0=x0,
-        algorithm=algorithm,
-        tol_exact=tol_exact,
-        beta=beta,
-        mu0=mu0,
-        kappa0=kappa0,
-        eps_fin=eps_fin,
-        n_max=n_max,
-        rho_max=rho_max,
-        excitation=excitation,
-        seed=seed,
-        max_blocks=max_blocks,
-        max_inner_retries=max_inner_retries,
-        out_dir=out_dir,
-    )
+    return ExperimentConfig(**values)
 
 
 def _materialize(config: ExperimentConfig):
@@ -292,14 +288,17 @@ def _write_summary(path: Path, outcome: Optional[RunOutcome], wall_time: float) 
         handle.write(json.dumps(record, allow_nan=False) + "\n")
 
 
-def run_experiment(config: ExperimentConfig) -> int:
-    """Run one experiment and write its logs; returns the process exit code."""
+def _out_dir(config: ExperimentConfig) -> Path:
+    """The output directory, which ``run`` and ``verify`` require."""
     if not config.out_dir:
         raise ValidationError(["out_dir: required (set in the config or pass --out)"])
-    if config.seed < 0:
-        raise ValidationError([f"seed: must be >= 0 (got {config.seed})"])
+    return Path(config.out_dir)
+
+
+def run_experiment(config: ExperimentConfig) -> int:
+    """Run one experiment and write its logs; returns the process exit code."""
+    out = _out_dir(config)
     spec, excitation, bounds = _materialize(config)
-    out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     solver = SolverOptions(seed=config.seed)
 
@@ -404,6 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="regulate",
         description="Adaptive set-point regulation experiments on benchmark plants",
     )
+    parser.set_defaults(seed=None, out=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one experiment and write CSV/JSONL logs")
@@ -423,18 +423,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        config = load_config(args.config)
+        # An empty --out leaves the config's out_dir in place.
+        config = load_config(args.config, seed=args.seed, out_dir=args.out or None)
         if args.command == "run":
-            if args.out:
-                config.out_dir = args.out
-            if args.seed is not None:
-                config.seed = args.seed
             return run_experiment(config)
         if args.command == "verify":
-            out_dir = args.out or config.out_dir
-            if not out_dir:
-                raise ValidationError(["no output directory given"])
-            ok = replay_verify(Path(out_dir) / "trajectory.csv", config)
+            ok = replay_verify(_out_dir(config) / "trajectory.csv", config)
             print("replay ok" if ok else "replay mismatch")
             return 0 if ok else 1
         return check_excitation(config)

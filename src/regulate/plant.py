@@ -299,30 +299,30 @@ def jacobian_input(model: PlantModel, x, block: InputSequence, theta) -> np.ndar
     return fd_jacobian(terminal, block.flat)
 
 
-def numeric_rank(matrix, rel_tol: float = 1e-8) -> int:
-    """Count singular values above rel_tol times the largest one (0 for the zero
-    matrix, and for a non-finite one, such as the Jacobian of an overflowing replay)."""
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError("rel_tol must lie in (0, 1)")
+def _rank_and_sigma(matrix, n: int, rel_tol: float = 1e-8) -> tuple:
+    """From one SVD: the number of singular values above rel_tol times the
+    largest one, and the n-th singular value (0 when there are fewer). Both are 0
+    for an empty matrix and a non-finite one, such as the Jacobian of an
+    overflowing replay."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     if matrix.size == 0 or not np.all(np.isfinite(matrix)):
-        return 0
+        return 0, 0.0
     sv = np.linalg.svd(matrix, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > rel_tol * sv[0]))
+    return int(np.sum(sv > rel_tol * sv[0])), (float(sv[n - 1]) if sv.size >= n else 0.0)
+
+
+def numeric_rank(matrix, rel_tol: float = 1e-8) -> int:
+    """Count singular values above rel_tol times the largest one (0 for the zero
+    matrix, and for a non-finite one)."""
+    if not 0.0 < rel_tol < 1.0:
+        raise ValueError("rel_tol must lie in (0, 1)")
+    return _rank_and_sigma(matrix, 1, rel_tol)[0]
 
 
 def smallest_singular_value(matrix, n_cols: int) -> float:
     """The n_cols-th singular value; 0 when the matrix has fewer rows than
     columns or is not finite."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if matrix.size == 0 or not np.all(np.isfinite(matrix)):
-        return 0.0
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    if sv.size < n_cols:
-        return 0.0
-    return float(sv[n_cols - 1])
+    return _rank_and_sigma(matrix, n_cols)[1]
 
 
 @dataclass(frozen=True)
@@ -346,10 +346,9 @@ def excitation_rank_check(model: PlantModel, u_exc: InputSequence, samples: Sequ
     worst = samples[0]
     worst_sigma = np.inf
     for x0, theta in samples:
-        jac = jacobian_theta(model, x0, u_exc, theta)
-        if numeric_rank(jac) != model.param_dim:
+        rank, sigma = _rank_and_sigma(jacobian_theta(model, x0, u_exc, theta), model.param_dim)
+        if rank != model.param_dim:
             passed = False
-        sigma = smallest_singular_value(jac, model.param_dim)
         if sigma < worst_sigma:
             worst_sigma = sigma
             worst = (x0, theta)

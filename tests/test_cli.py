@@ -229,8 +229,26 @@ class TestMain:
         config_path = write_config(tmp_path, EXACT_SCALAR)
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out"), "--seed", "-1"]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and "seed" in err
+        assert err == "config error: seed: must be >= 0 (got -1)\n"
         assert not (tmp_path / "out").exists()
+
+    def test_overrides_meet_the_config_rules(self, tmp_path):
+        config_path = write_config(tmp_path, EXACT_SCALAR)
+        config = load_config(config_path, seed=7, out_dir="elsewhere")
+        assert (config.seed, config.out_dir) == (7, "elsewhere")
+        assert load_config(config_path, seed=None).seed == EXACT_SCALAR["seed"]
+        with pytest.raises(ValidationError) as excinfo:
+            load_config(config_path, seed=TOO_LARGE, out_dir=1)
+        assert excinfo.value.problems == [
+            "seed: must be finite (got an integer too large for a double)",
+            "out_dir: must be a string (got 1)",
+        ]
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_missing_out_dir(self, tmp_path, capsys, command):
+        config_path = write_config(tmp_path, EXACT_SCALAR)
+        assert main([command, "--config", str(config_path)]) == 3
+        assert capsys.readouterr().err == "config error: out_dir: required (set in the config or pass --out)\n"
 
     def test_verify_without_trajectory(self, tmp_path, capsys):
         config_path = write_config(tmp_path, EXACT_SCALAR)
@@ -316,6 +334,44 @@ def test_non_finite_config_value(tmp_path, capsys, command, base, field, value):
     assert f"{field}: " in err and "finite" in err
 
 
+AFFINE = {"model": "affine_2d", "theta_true": [0.5, 0.5], "x0": [1.0, 0.0]}
+
+
+@pytest.mark.parametrize(
+    "base, field, value",
+    [
+        (EXACT_SCALAR, "theta_true", ["0.8"]),
+        (EXACT_SCALAR, "x0", [True]),
+        (AFFINE, "x0", [1.0, True]),
+        (EXACT_SCALAR, "excitation", "0.5"),
+        (EXACT_SCALAR, "excitation", [[False]]),
+    ],
+)
+def test_string_or_boolean_in_an_array(tmp_path, capsys, base, field, value):
+    # numpy reads "0.8" as 0.8 and true as 1.0; a config holds JSON numbers only.
+    config_path = write_config(tmp_path, dict(base, **{field: value}))
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: must hold only numbers") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+TOO_LARGE = 10**400  # JSON integers have no size limit; float() of this one raises OverflowError.
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "check-excitation"])
+@pytest.mark.parametrize("field", ["mu0", "seed", "n_max", "x0", "excitation"])
+def test_integer_too_large_for_a_double(tmp_path, capsys, command, field):
+    value = {"n_max": -TOO_LARGE, "x0": [TOO_LARGE], "excitation": [[TOO_LARGE]]}.get(field, TOO_LARGE)
+    config_path = write_config(tmp_path, dict(EXACT_SCALAR, **{field: value}))
+    args = [command, "--config", str(config_path)]
+    if command != "check-excitation":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err == f"config error: {field}: must be finite (got an integer too large for a double)\n"
+
+
 @pytest.mark.parametrize("command", ["run", "check-excitation"])
 def test_overflowing_excitation(tmp_path, capsys, command):
     # The replay overflows, so the rank check sees a non-finite Jacobian: it
@@ -365,6 +421,14 @@ class TestFileAndUsageErrors:
         (tmp_path / "out" / "trajectory.csv").write_bytes(b"t,x_1\n\xff\n")
         self.run_main(capsys, ["verify", "--config", config_path, "--out", tmp_path / "out"])
 
+    @pytest.mark.parametrize("case", ["5000-digit integer", "deep nesting"])
+    def test_json_python_cannot_read(self, tmp_path, capsys, case):
+        # int() converts at most 4300 digits; json recurses once per nesting level.
+        text = '{"seed": 1' + "0" * 5000 + "}" if case == "5000-digit integer" else "[" * 100000 + "]" * 100000
+        path = tmp_path / "config.json"
+        path.write_text(text, encoding="utf-8")
+        assert "not valid JSON" in self.run_main(capsys, ["run", "--config", path, "--out", tmp_path / "out"])
+
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["run", "--help"])
@@ -373,7 +437,7 @@ class TestFileAndUsageErrors:
 
 
 # Values of the wrong kind or out of range, drawn in place of a valid field.
-ODD_VALUES = [None, True, False, "1", "abc", float("nan"), float("inf"), -float("inf"), -1, 0, -1e308, 1e308]
+ODD_VALUES = [None, True, False, "1", "abc", float("nan"), float("inf"), -float("inf"), -1, 0, -1e308, 1e308, TOO_LARGE]
 # Counts keep their odd values small: a large max_blocks or max_inner_retries
 # makes a run longer, and a large n_max can make the synthesis search without end.
 ODD_COUNTS = [v for v in ODD_VALUES if v != 1e308]

@@ -259,6 +259,19 @@ class TestRankChecks:
             assert numeric_rank(analytic) == 2
             assert smallest_singular_value(analytic, 2) > 1e-8
 
+    def test_one_svd_per_sample(self, monkeypatch):
+        # The rank and the smallest singular value come from the same SVD.
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        spec = get_model("affine_2d")
+        samples = [(np.array([1.0, 0.0]), np.array([0.5, 0.25])), (np.array([2.0, -1.0]), np.array([0.9, 0.4]))]
+        report = excitation_rank_check(spec.model, spec.excitation, samples)
+        assert len(calls) == len(samples)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        sigmas = [smallest_singular_value(jacobian_theta(spec.model, x, spec.excitation, th), 2) for x, th in samples]
+        assert report.min_singular_value == min(sigmas)
+
     def test_controllability_scalar(self):
         assert controllability_rank_check(SCALAR, [5.0], [1.7], seq([0.0]))
 

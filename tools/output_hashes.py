@@ -1,7 +1,7 @@
 """Hash every output of every perfbench operation, one line per operation.
 
     python3 tools/output_hashes.py --seed N [--out FILE]
-    python3 tools/output_hashes.py --check FILE
+    python3 tools/output_hashes.py --check FILE [FILE ...]
 
 Builds the operations of both perfbench workloads for seed N (21
 ``long_history_inexact`` library runs and 192 ``cli_sweep`` run + verify
@@ -14,11 +14,12 @@ pairs), runs each once, and hashes its outputs with SHA-256:
 
 Each line also holds the operation's transition count. A change that must
 leave every output as it is runs ``--check`` on the committed
-``OUTPUTS_seed<N>.json``: it recomputes the hashes at that file's seed, prints
-each operation whose hash or transition count differs, and exits 1 if any
-differs, 0 if none does. Another numpy or BLAS build can move the last bits
-of ``lstsq`` and ``svd``, so the file names the versions it was taken with,
-and the comparison is not part of the tier-1 tests.
+``OUTPUTS_seed<N>.json`` files: for each file it recomputes the hashes at that
+file's seed and prints each operation whose hash or transition count differs;
+it exits 1 if any operation in any file differs, 0 if none does. Another
+numpy or BLAS build can move the last bits of ``lstsq`` and ``svd``, so the
+file names the versions it was taken with, and the comparison is not part of
+the tier-1 tests.
 """
 
 import os
@@ -146,11 +147,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--seed", type=int)
-    mode.add_argument("--check", metavar="FILE", help="compare against FILE at its seed")
+    mode.add_argument("--check", metavar="FILE", nargs="+", help="compare against each FILE at its seed")
     parser.add_argument("--out", help="file to write (default: standard output)")
     args = parser.parse_args(argv)
     if args.check:
-        return check(args.check)
+        return max([check(path) for path in args.check])
     rows = _quiet_hashes(args.seed)
     header = {"seed": args.seed, "python": platform.python_version(), "numpy": np.__version__}
     lines = [json.dumps(header)[:-1] + ', "operations": [']
