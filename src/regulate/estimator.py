@@ -4,7 +4,9 @@ The estimator looks for a parameter vector inside the admissible box whose
 predicted trajectory matches the observed one to a requested tolerance, and
 the identifiability margin quantifies how strongly the first data segment
 separates nearby parameter hypotheses. A start that stalls is followed by
-restarts from a grid of ``MULTISTART_GRID`` points per parameter axis.
+restarts from a grid of ``MULTISTART_GRID`` points per parameter axis; the
+grid start that equals the first start (the box midpoint, when the estimate
+starts there) reuses the first run's result, so no start is solved twice.
 """
 
 from __future__ import annotations
@@ -131,8 +133,11 @@ def estimate(model: PlantModel, history: ObservationHistory, theta_init, tol: fl
     Runs projected damped Gauss-Newton from theta_init; if that run stalls
     above tol, restarts from a uniform grid over the box (MULTISTART_GRID
     points per axis) and keeps the best residual, breaking ties toward the
-    lexicographically smallest parameter vector. Raises NotConverged when no
-    start reaches tol; the returned parameters always lie inside the box.
+    lexicographically smallest parameter vector. A grid start that equals
+    theta_init after clipping, byte for byte, reuses the first run instead of
+    repeating it; its iterations still count toward ``iterations``. Raises
+    NotConverged when no start reaches tol; the returned parameters always lie
+    inside the box.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -150,8 +155,14 @@ def estimate(model: PlantModel, history: ObservationHistory, theta_init, tol: fl
     best = box_gauss_newton(res, jac, theta_init, lower, upper, tol)
     total_iters = best.iterations
     if best.residual_norm > tol:
+        first, first_start = best, np.clip(theta_init, lower, upper).tobytes()
         for start in param_grid(model, MULTISTART_GRID):
-            run = box_gauss_newton(res, jac, start, lower, upper, tol)
+            # Gauss-Newton is deterministic: a start equal to the first one
+            # would repeat its run step for step.
+            if np.clip(start, lower, upper).tobytes() == first_start:
+                run = first
+            else:
+                run = box_gauss_newton(res, jac, start, lower, upper, tol)
             total_iters += run.iterations
             if run.residual_norm < best.residual_norm or (
                 run.residual_norm == best.residual_norm and _lex_key(run.x) < _lex_key(best.x)

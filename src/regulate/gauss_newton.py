@@ -1,7 +1,11 @@
 """Damped Gauss-Newton for small box-constrained nonlinear least-squares problems.
 
 Every run takes at most ``MAX_ITERS`` iterations; the estimator and the
-synthesis both use this one cap.
+synthesis both use this one cap. The residual handle must be pure: a line
+search evaluates it once per distinct point, skipping a candidate equal to
+the current point or to the candidate just rejected, whose outcome is already
+known. Residual norms that overflow to inf are rejected without a
+``RuntimeWarning``.
 """
 
 from __future__ import annotations
@@ -15,6 +19,12 @@ import numpy as np
 MAX_ITERS = 60
 POLISH_ITERS = 1
 MIN_STEP = 1e-12
+
+
+def _norm(r: np.ndarray) -> float:
+    """Euclidean norm; one that overflows is inf, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.norm(r))
 
 
 @dataclass(frozen=True)
@@ -35,6 +45,8 @@ def box_gauss_newton(residual, jacobian, x0, lower, upper, tol):
 
     Runs at most ``MAX_ITERS`` iterations. Each iteration solves the Gauss-Newton least-squares step, then halves the
     step length until the projected candidate decreases the residual norm.
+    A candidate equal to x, or to the last candidate evaluated, is rejected
+    without calling ``residual`` again, so ``residual`` must be pure.
     After reaching tol, up to ``POLISH_ITERS`` extra steps are taken so the
     returned point is not left sitting right at the tolerance ceiling. Stalling
     (no decreasing step) ends the search; ``converged`` reports whether the
@@ -42,7 +54,7 @@ def box_gauss_newton(residual, jacobian, x0, lower, upper, tol):
     """
     x = np.clip(np.asarray(x0, dtype=float), lower, upper)
     r = np.asarray(residual(x), dtype=float)
-    cost = float(np.linalg.norm(r))
+    cost = _norm(r)
     iters = 0
     if cost <= tol:
         return GaussNewtonResult(x, cost, iters, True)
@@ -59,14 +71,18 @@ def box_gauss_newton(residual, jacobian, x0, lower, upper, tol):
             break
         alpha = 1.0
         moved = False
+        rejected = None
         while alpha >= MIN_STEP:
             cand = np.clip(x + alpha * direction, lower, upper)
-            rc = np.asarray(residual(cand), dtype=float)
-            cc = float(np.linalg.norm(rc))
-            if cc < cost and np.any(cand != x):
-                x, r, cost = cand, rc, cc
-                moved = True
-                break
+            key = cand.tobytes()
+            if np.any(cand != x) and key != rejected:
+                rc = np.asarray(residual(cand), dtype=float)
+                cc = _norm(rc)
+                if cc < cost:
+                    x, r, cost = cand, rc, cc
+                    moved = True
+                    break
+                rejected = key
             alpha *= 0.5
         iters += 1
         if not moved:

@@ -11,7 +11,8 @@ the same factor, and the block is only applied once a conservative
 sensitivity-ball check confirms that every parameter hypothesis near the
 estimate predicts a terminal state inside half the termination ball. That
 check samples ``PROBE_COUNT`` hypotheses and demands a margin of ``SAFETY`` on
-its Lipschitz bound.
+its Lipschitz bound; it fails at once, before any probe, when the estimate's
+own Jacobian already breaks that bound, as most failing checks do.
 
 Every way a run can stop short is a ``RunFailure`` that carries the block it
 stopped in and the log up to there: a safety cap raises a ``RegulatorError``,
@@ -139,7 +140,9 @@ def inclusion_check(
     radius ball intersected with the parameter box (``PROBE_COUNT`` samples),
     and additionally verifies that each sampled hypothesis lands within
     ``bound`` of the nominal prediction. True iff L * radius * SAFETY <= bound
-    and all samples pass.
+    and all samples pass. When the Jacobian at the estimate alone already
+    fails that test, returns False before any nominal or probe evaluation;
+    the probes' RNG is local to the call, so skipping them moves no stream.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -157,8 +160,11 @@ def inclusion_check(
         sv = np.linalg.svd(jac, compute_uv=False)
         return float(sv[0]) if sv.size else 0.0
 
-    nominal = terminal(theta)
     lipschitz = spectral(theta)
+    # The probes can only raise the Lipschitz estimate, so this already decides.
+    if lipschitz * radius * SAFETY > bound:
+        return False
+    nominal = terminal(theta)
     rng = np.random.default_rng(seed)
     n = model.param_dim
     for _ in range(PROBE_COUNT):

@@ -3,9 +3,10 @@
 ``simulate`` checks its arguments once per call and ``fd_jacobian`` skips the
 centre point a central difference never uses. ``run_exact`` and
 ``run_inexact`` share one block loop over a run log kept as an
-``ObservationHistory``. All of them must reproduce the straightforward
-versions kept here bit for bit: every state, Jacobian entry, block record,
-exception and CSV byte.
+``ObservationHistory``. ``box_gauss_newton``, ``estimate`` and
+``inclusion_check`` skip evaluations whose outcome they already hold. All of
+them must reproduce the straightforward versions kept here bit for bit: every
+state, Jacobian entry, solver result, block record, exception and CSV byte.
 """
 
 import dataclasses
@@ -39,7 +40,11 @@ from regulate import (
     simulate,
     synthesize,
 )
+from regulate.estimator import MULTISTART_GRID, EstimateResult, _lex_key, residual_vector
+from regulate.gauss_newton import MAX_ITERS, MIN_STEP, POLISH_ITERS, GaussNewtonResult, box_gauss_newton
 from regulate.plant import InputSequence, StateSequence, _vector, as_inputs
+from regulate.regulator import PROBE_COUNT, SAFETY
+from regulate.synthesis import ControlPlan
 
 PLANTS = ("scalar_linear", "affine_2d", "bilinear_scalar")
 
@@ -475,8 +480,9 @@ def reference_run_inexact(
 
 
 def _both_loops(name, algorithm, *, theta_true=None, x0=None, tail=0, bounds=None,
-                schedule=RegulatorSchedule(0.5, 1.0, 1.0, 1e-3), **options):
-    """The outcome, or the exception raised, of the library loop and of the reference."""
+                schedule=RegulatorSchedule(0.5, 1.0, 1.0, 1e-3), library_only=False, **options):
+    """The outcome, or the exception raised, of the library loop and of the
+    reference (unless ``library_only``)."""
     spec = get_model(name)
     model = spec.model
     case_theta, case_x0 = CASES[name]
@@ -494,7 +500,7 @@ def _both_loops(name, algorithm, *, theta_true=None, x0=None, tail=0, bounds=Non
         "inexact": (run_inexact, reference_run_inexact),
     }[algorithm]
     results = []
-    for runner in runs:
+    for runner in runs[:1] if library_only else runs:
         try:
             results.append(runner(*args, solver=SolverOptions(seed=5), **options))
         except Exception as err:
@@ -574,3 +580,376 @@ def test_rank_check_warning_names_the_caller(runner):
     with pytest.warns(UserWarning, match="rank check") as record:
         runner(*args, bounds_fn=lambda _x: spec.bounds)
     assert [w.filename for w in record] == [__file__]
+
+
+# The solvers as they were before their work cuts: every line-search
+# candidate is evaluated, the grid start equal to the first start runs again,
+# and the inclusion check runs its probes before its Lipschitz test.
+
+def reference_box_gauss_newton(residual, jacobian, x0, lower, upper, tol):
+    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    r = np.asarray(residual(x), dtype=float)
+    cost = float(np.linalg.norm(r))
+    iters = 0
+    if cost <= tol:
+        return GaussNewtonResult(x, cost, iters, True)
+    polish = POLISH_ITERS
+    while iters < MAX_ITERS:
+        jac = np.asarray(jacobian(x), dtype=float)
+        if not np.all(np.isfinite(jac)):
+            break
+        try:
+            direction, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        except np.linalg.LinAlgError:
+            break
+        if not np.all(np.isfinite(direction)) or not np.any(direction):
+            break
+        alpha = 1.0
+        moved = False
+        while alpha >= MIN_STEP:
+            cand = np.clip(x + alpha * direction, lower, upper)
+            rc = np.asarray(residual(cand), dtype=float)
+            cc = float(np.linalg.norm(rc))
+            if cc < cost and np.any(cand != x):
+                x, r, cost = cand, rc, cc
+                moved = True
+                break
+            alpha *= 0.5
+        iters += 1
+        if not moved:
+            break
+        if cost <= tol:
+            if polish <= 0:
+                break
+            polish -= 1
+    return GaussNewtonResult(x, cost, iters, cost <= tol)
+
+
+def reference_estimate(model, history, theta_init, tol):
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    theta_init = _vector(theta_init, model.param_dim, "theta_init")
+    if not model.contains_params(theta_init, atol=1e-12):
+        raise ValueError("theta_init must lie inside the parameter box")
+
+    def res(th):
+        return residual_vector(model, history, th)
+
+    def jac(th):
+        return plant.jacobian_theta(model, history.x0, history.applied_inputs, th)
+
+    lower, upper = model.param_lower, model.param_upper
+    best = reference_box_gauss_newton(res, jac, theta_init, lower, upper, tol)
+    total_iters = best.iterations
+    if best.residual_norm > tol:
+        for start in plant.param_grid(model, MULTISTART_GRID):
+            run = reference_box_gauss_newton(res, jac, start, lower, upper, tol)
+            total_iters += run.iterations
+            if run.residual_norm < best.residual_norm or (
+                run.residual_norm == best.residual_norm and _lex_key(run.x) < _lex_key(best.x)
+            ):
+                best = run
+    if best.residual_norm <= tol:
+        return EstimateResult(best.x, best.residual_norm, total_iters, True)
+    raise NotConverged(
+        f"best residual {best.residual_norm:.3e} above tolerance {tol:.3e} "
+        f"after {total_iters} iterations over all starts",
+        EstimateResult(best.x, best.residual_norm, total_iters, False),
+    )
+
+
+def reference_inclusion_check(model, history, theta, plan, radius, bound, seed=0):
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    if not bound > 0:
+        raise ValueError("bound must be positive")
+    if radius == 0.0:
+        return True
+    theta = np.asarray(theta, dtype=float)
+
+    def terminal(th):
+        return plant.terminal_map(model, history.x0, history.applied_inputs, plan.block, th)
+
+    def spectral(th):
+        jac = plant.fd_jacobian(terminal, th, lower=model.param_lower, upper=model.param_upper)
+        sv = np.linalg.svd(jac, compute_uv=False)
+        return float(sv[0]) if sv.size else 0.0
+
+    nominal = terminal(theta)
+    lipschitz = spectral(theta)
+    rng = np.random.default_rng(seed)
+    n = model.param_dim
+    for _ in range(PROBE_COUNT):
+        direction = rng.standard_normal(n)
+        length = float(np.linalg.norm(direction))
+        if length == 0.0:
+            continue
+        point = theta + direction / length * (radius * rng.uniform() ** (1.0 / n))
+        # Clipping to the box cannot leave the ball: the box contains theta.
+        point = model.clip_params(point)
+        lipschitz = max(lipschitz, spectral(point))
+        if float(np.linalg.norm(terminal(point) - nominal)) >= bound:
+            return False
+    return lipschitz * radius * SAFETY <= bound
+
+
+def bits(value):
+    """The raw bits of a float or float array: the sign of zero and every NaN count."""
+    return np.asarray(value, dtype=float).view(np.int64)
+
+
+def assert_same_bits(new, ref, what):
+    assert np.array_equal(bits(new), bits(ref)), (what, new, ref)
+
+
+def _result_or_error(call):
+    with np.errstate(all="ignore"):
+        try:
+            return call()
+        except Exception as err:  # the exception is the call's result
+            return err
+
+
+def assert_same_solver_result(new, ref, what):
+    """Equal bits of every field, or the same exception with the same message
+    and, for NotConverged, the same best attempt."""
+    if isinstance(ref, Exception):
+        assert type(new) is type(ref) and str(new) == str(ref), (what, new, ref)
+        if isinstance(ref, NotConverged):
+            assert_same_solver_result(new.best, ref.best, what)
+        return
+    assert type(new) is type(ref), (what, new, ref)
+    for field in dataclasses.fields(ref):
+        a, b = getattr(new, field.name), getattr(ref, field.name)
+        if isinstance(b, (bool, int)):
+            assert a == b, (what, field.name, a, b)
+        else:
+            assert_same_bits(a, b, (what, field.name))
+
+
+def _box_starts(model, rng):
+    """The box midpoint, its two corners, a mixed corner and an inside point."""
+    lo, hi = model.param_lower, model.param_upper
+    return [0.5 * (lo + hi), lo.copy(), hi.copy(), np.where(rng.random(lo.size) < 0.5, lo, hi),
+            rng.uniform(lo, hi)]
+
+
+def _history(model, rng, T, theta, x0=None, amplitude=1.0, noise=0.0):
+    x0 = rng.uniform(-2.0, 2.0, model.state_dim) if x0 is None else np.asarray(x0, float)
+    inputs = InputSequence(0, rng.uniform(-amplitude, amplitude, (T, model.input_dim)))
+    states = plant.simulate(model, x0, inputs, theta).states[1:]
+    states = states + noise * rng.standard_normal(states.shape)
+    return ObservationHistory(x0, inputs, StateSequence(1, states))
+
+
+def _estimation_cases(name, rng):
+    """(history, tolerance) pairs: short random histories, exact and noisy, and
+    an 800-step tail whose replays overflow from the unstable end of the box."""
+    spec = get_model(name)
+    model = spec.model
+    lo, hi = model.param_lower, model.param_upper
+    cases = []
+    for noise in (0.0, 0.0, 0.05):
+        T = int(rng.integers(1, 40))
+        cases.append((_history(model, rng, T, rng.uniform(lo, hi), noise=noise), 1e-8))
+    theta_true, x0 = CASES[name]
+    long_tail = _history(model, rng, 800, theta_true, x0, spec.bounds.max_amplitude / 2)
+    cases.append((long_tail, 1e-3))
+    return cases
+
+
+@pytest.mark.parametrize("name", PLANTS)
+def test_estimate_matches_reference(name):
+    rng = np.random.default_rng([22, PLANTS.index(name)])
+    model = get_model(name).model
+    for i, (history, tol) in enumerate(_estimation_cases(name, rng)):
+        for j, start in enumerate(_box_starts(model, rng)[: 5 if history.horizon < 800 else 2]):
+            new = _result_or_error(lambda: estimate(model, history, start, tol))
+            ref = _result_or_error(lambda: reference_estimate(model, history, start, tol))
+            assert_same_solver_result(new, ref, f"{name} case {i} start {j}")
+
+
+def _pinned_problems():
+    """Least-squares problems whose Gauss-Newton step leaves the box, so
+    clipping pins the candidate to x or to a corner for many halvings."""
+    lower, upper = np.zeros(2), np.ones(2)
+    yield (lambda x: x - 5.0), (lambda x: np.eye(2)), np.ones(2), lower, upper
+    yield (lambda x: x - np.array([5.0, 0.5])), (lambda x: np.eye(2)), np.array([1.0, 0.0]), lower, upper
+    yield ((lambda x: np.array([x[0] ** 2 - 3.0, x[0] * x[1] - 4.0])),
+           (lambda x: np.array([[2 * x[0], 0.0], [x[1], x[0]]])), np.array([0.5, 0.5]), lower, upper)
+
+
+def _gauss_newton_problems(name, rng):
+    """The estimator's least-squares problems from the box starts."""
+    model = get_model(name).model
+    for history, tol in _estimation_cases(name, rng):
+        def res(th, history=history):
+            return residual_vector(model, history, th)
+
+        def jac(th, history=history):
+            return plant.jacobian_theta(model, history.x0, history.applied_inputs, th)
+
+        for start in _box_starts(model, rng)[: 5 if history.horizon < 800 else 1]:
+            yield res, jac, start, model.param_lower, model.param_upper, tol
+
+
+@pytest.mark.parametrize("name", PLANTS)
+def test_gauss_newton_matches_reference(name):
+    rng = np.random.default_rng([22, 1, PLANTS.index(name)])
+    problems = list(_gauss_newton_problems(name, rng))
+    if name == "scalar_linear":
+        problems += [problem + (1e-12,) for problem in _pinned_problems()]
+    for i, problem in enumerate(problems):
+        new = _result_or_error(lambda: box_gauss_newton(*problem))
+        ref = _result_or_error(lambda: reference_box_gauss_newton(*problem))
+        assert_same_solver_result(new, ref, f"{name} problem {i}")
+
+
+def _lipschitz_at(model, history, plan, theta) -> float:
+    """The spectral norm of the terminal map's parameter Jacobian at theta."""
+    def terminal(th):
+        return plant.terminal_map(model, history.x0, history.applied_inputs, plan.block, th)
+
+    with np.errstate(all="ignore"):
+        jac = plant.fd_jacobian(terminal, theta, lower=model.param_lower, upper=model.param_upper)
+        return float(np.linalg.svd(jac, compute_uv=False)[0]) if np.all(np.isfinite(jac)) else np.nan
+
+
+def _inclusion_cases(name, rng):
+    """(history, theta, plan, radius, bound, seed) with theta at the midpoint,
+    on the faces and inside the box, radii from 0 to beyond the box, bounds
+    drawn at random and at and around the Lipschitz test's threshold, and
+    histories short, empty and long enough to overflow."""
+    spec = get_model(name)
+    model = spec.model
+    theta_true, x0 = CASES[name]
+    histories = [_history(model, rng, int(rng.integers(0, 30)), theta_true) for _ in range(3)]
+    histories.append(_history(model, rng, 800, theta_true, x0, spec.bounds.max_amplitude / 2))
+    cases = []
+    for history in histories:
+        horizon = int(rng.integers(1, spec.bounds.max_horizon + 1))
+        block = InputSequence(history.horizon, rng.uniform(-1.0, 1.0, (horizon, model.input_dim)))
+        plan = ControlPlan(horizon, block, 0.0)
+        for theta in _box_starts(model, rng)[: 5 if history.horizon < 800 else 2]:
+            lipschitz = _lipschitz_at(model, history, plan, theta)
+            for radius in (0.0, 10.0 ** rng.uniform(-9, -4), 10.0 ** rng.uniform(-4, 0)):
+                threshold = lipschitz * radius * SAFETY
+                bounds = [10.0 ** rng.uniform(-6, 0)]
+                if 0.0 < threshold < np.inf and history.horizon < 800:
+                    bounds += [threshold, np.nextafter(threshold, np.inf), threshold * 1.3]
+                for bound in bounds:
+                    cases.append((history, theta, plan, radius, bound, int(rng.integers(2**63))))
+    cases += [cases[0][:3] + (-1.0, 1.0, 0), cases[0][:3] + (1.0, 0.0, 0)]
+    return cases
+
+
+@pytest.mark.parametrize("name", PLANTS)
+def test_inclusion_check_matches_reference(name):
+    rng = np.random.default_rng([22, 2, PLANTS.index(name)])
+    model = get_model(name).model
+    results = []
+    for i, case in enumerate(_inclusion_cases(name, rng)):
+        new = _result_or_error(lambda: inclusion_check(model, *case))
+        ref = _result_or_error(lambda: reference_inclusion_check(model, *case))
+        if isinstance(ref, Exception):
+            assert type(new) is type(ref) and str(new) == str(ref), (i, new, ref)
+        else:
+            assert new is ref, (name, i, new, ref)
+        results.append(new)
+    # Both outcomes and both argument errors occur.
+    assert True in results and False in results
+    assert sum(isinstance(r, ValueError) for r in results) == 2
+
+
+SOLVER_REFERENCES = {
+    "regulate.estimator.box_gauss_newton": reference_box_gauss_newton,
+    "regulate.synthesis.box_gauss_newton": reference_box_gauss_newton,
+    "regulate.regulator.estimate": reference_estimate,
+    "regulate.regulator.inclusion_check": reference_inclusion_check,
+}
+
+
+@pytest.mark.parametrize("algorithm", ["exact", "inexact"])
+@pytest.mark.parametrize("name", PLANTS)
+def test_block_loop_matches_reference_solvers(name, algorithm, monkeypatch):
+    # A run after a 200-step tail gives every cut its work: stalled starts,
+    # pinned line searches and failing inclusion checks.
+    [new] = _both_loops(name, algorithm, tail=200, library_only=True)
+    for target, reference in SOLVER_REFERENCES.items():
+        module, attr = target.rsplit(".", 1)
+        monkeypatch.setattr(importlib.import_module(module), attr, reference)
+    [ref] = _both_loops(name, algorithm, tail=200, library_only=True)
+    assert isinstance(new, RunOutcome) and new.terminated, new
+    assert_same_outcome(new, ref)
+
+
+def _recorded(residual, jacobian, events):
+    def res(x):
+        events.append(("residual", np.array(x, dtype=float)))
+        return residual(x)
+
+    def jac(x):
+        events.append(("jacobian", np.array(x, dtype=float)))
+        return jacobian(x)
+
+    return res, jac
+
+
+@pytest.mark.parametrize("name", PLANTS)
+def test_line_search_evaluates_each_point_once(name):
+    rng = np.random.default_rng([22, 3, PLANTS.index(name)])
+    problems = list(_gauss_newton_problems(name, rng)) + [p + (1e-12,) for p in _pinned_problems()]
+    searches = 0
+    for i, (residual, jacobian, *rest) in enumerate(problems):
+        events = []
+        with np.errstate(all="ignore"):
+            box_gauss_newton(*_recorded(residual, jacobian, events), *rest)
+        # Each Jacobian evaluation at x opens one line search from x.
+        x, seen = None, set()
+        for kind, point in events:
+            if kind == "jacobian":
+                x, seen = point, {point.tobytes()}
+                searches += 1
+            elif x is not None:
+                assert point.tobytes() not in seen, (name, i, point, x)
+                seen.add(point.tobytes())
+    assert searches > 0
+
+
+@pytest.mark.parametrize("name", PLANTS)
+def test_estimate_solves_each_start_once(name, monkeypatch):
+    import regulate.estimator
+
+    model = get_model(name).model
+    rng = np.random.default_rng([22, 4, PLANTS.index(name)])
+    # Noise keeps every start above the tolerance, so the whole grid runs.
+    history = _history(model, rng, 20, rng.uniform(model.param_lower, model.param_upper), noise=0.05)
+    starts = []
+    solve = regulate.estimator.box_gauss_newton
+
+    def recorded(residual, jacobian, x0, lower, upper, tol):
+        starts.append(np.clip(np.asarray(x0, dtype=float), lower, upper).tobytes())
+        return solve(residual, jacobian, x0, lower, upper, tol)
+
+    monkeypatch.setattr(regulate.estimator, "box_gauss_newton", recorded)
+    midpoint = 0.5 * (model.param_lower + model.param_upper)
+    with pytest.raises(NotConverged):
+        estimate(model, history, midpoint, 1e-8)
+    assert len(starts) == 3 ** model.param_dim
+    assert len(set(starts)) == len(starts)
+
+
+@pytest.mark.parametrize("name", PLANTS)
+def test_failing_inclusion_check_stops_at_the_stencil(name, monkeypatch):
+    import regulate.regulator
+
+    model = get_model(name).model
+    rng = np.random.default_rng([22, 5, PLANTS.index(name)])
+    history = _history(model, rng, 10, *CASES[name])
+    plan = ControlPlan(1, InputSequence(10, np.full((1, model.input_dim), 0.1)), 0.0)
+    calls = []
+    terminal = regulate.regulator.terminal_map
+    monkeypatch.setattr(regulate.regulator, "terminal_map", lambda *args: calls.append(1) or terminal(*args))
+    theta = 0.5 * (model.param_lower + model.param_upper)
+    assert inclusion_check(model, history, theta, plan, 1.0, 1e-9, seed=3) is False
+    assert len(calls) == 2 * model.param_dim  # the central difference at theta

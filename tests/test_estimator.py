@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -125,6 +127,19 @@ class TestEstimate:
         result = estimate(BILINEAR, hist, start, tol=1e-9)
         assert result.converged and result.residual <= 1e-9
         assert_allclose(result.theta, theta_true, atol=1e-6)
+
+    def test_overflowing_trial_residual_is_silent(self):
+        # An 800-step tail replayed near theta = 2 grows past 1e154, so the
+        # squared norm of a trial residual overflows; the line search rejects
+        # it without a RuntimeWarning.
+        rng = np.random.default_rng(3)
+        inputs = np.vstack([[[0.5]], rng.uniform(-2.0, 2.0, (800, 1))])
+        hist = make_history(SCALAR, [1.0], inputs, [0.8])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = estimate(SCALAR, hist, [1.25], tol=1e-3)
+        assert result.converged
+        assert_allclose(result.theta, [0.8], atol=1e-6)
 
     def test_invalid_arguments(self):
         hist = history_with_observations([1.0], [0.0], [0.8])
