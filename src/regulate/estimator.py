@@ -7,6 +7,9 @@ separates nearby parameter hypotheses. A start that stalls is followed by
 restarts from a grid of ``MULTISTART_GRID`` points per parameter axis; the
 grid start that equals the first start (the box midpoint, when the estimate
 starts there) reuses the first run's result, so no start is solved twice.
+A history records its inputs (``InputSequence.recorded``), so an estimate
+and the synthesis and inclusion check after it replay the history once per
+recently used parameter vector.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ MULTISTART_GRID = 3
 @dataclass(frozen=True)
 class ObservationHistory:
     """Known initial state, the inputs applied from t=0, and the states observed
-    at t=1, ..., T in response. Histories grow append-only across control blocks."""
+    at t=1, ..., T in response. Histories grow append-only across control blocks.
+    ``applied_inputs`` is kept recorded: a read-only copy with a replay memo."""
 
     x0: np.ndarray
     applied_inputs: InputSequence
@@ -44,6 +48,7 @@ class ObservationHistory:
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
+        object.__setattr__(self, "applied_inputs", self.applied_inputs.recorded())
         if len(self.applied_inputs) and self.applied_inputs.start_time != 0:
             raise ValueError("applied inputs must start at time 0")
         if len(self.observed_states) and self.observed_states.start_time != 1:

@@ -5,11 +5,18 @@ recorded input history, terminal-state maps for candidate control blocks, and
 finite-difference sensitivity / numeric-rank diagnostics. Every
 finite-difference Jacobian uses the one relative step ``FD_STEP``.
 ``RunFailure`` is the type of every failure that stops a regulation run.
+
+A recorded input sequence (``InputSequence.recorded``, as every observation
+history holds) has read-only inputs and a memo of its last
+``REPLAY_MEMO_SIZE`` replays, which ``replay`` looks up before it calls
+``simulate``; that rests on the purity ``PlantModel`` requires of
+``transition``.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -19,6 +26,9 @@ Transition = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 # Relative step of every finite-difference stencil, scaled by max(1, |x_i|).
 FD_STEP = 1e-6
+
+# Replays a recorded input sequence keeps; the least recently used goes first.
+REPLAY_MEMO_SIZE = 16
 
 
 class RunFailure(RuntimeError):
@@ -51,7 +61,8 @@ class PlantModel:
 
     ``param_box`` has one [lo, hi] row per parameter coordinate; the box is the
     set of admissible parameter hypotheses. ``transition`` must be a pure,
-    deterministic function of its arguments.
+    deterministic function of its arguments: the solvers skip repeated
+    evaluations, and ``replay`` serves repeated replays from a memo.
     """
 
     state_dim: int
@@ -95,6 +106,8 @@ class InputSequence:
 
     start_time: int
     inputs: np.ndarray
+    # The replay memo of a recorded sequence, None for any other (not a field).
+    _replays = None
 
     def __post_init__(self):
         arr = np.asarray(self.inputs, dtype=float)
@@ -112,6 +125,18 @@ class InputSequence:
     @property
     def flat(self) -> np.ndarray:
         return self.inputs.ravel()
+
+    def recorded(self) -> "InputSequence":
+        """This sequence as a history records it: the inputs in a read-only copy
+        of its own, which nothing can change under the replay memo that the
+        copy carries (see ``replay``). A recorded sequence is returned as is."""
+        if self._replays is not None:
+            return self
+        inputs = self.inputs.copy()
+        inputs.flags.writeable = False
+        seq = InputSequence(self.start_time, inputs)
+        object.__setattr__(seq, "_replays", OrderedDict())
+        return seq
 
     @classmethod
     def empty(cls, input_dim: int, start_time: int = 0) -> "InputSequence":
@@ -214,27 +239,57 @@ def simulate(model: PlantModel, x0, u_seq: InputSequence, theta) -> StateSequenc
     return StateSequence(u_seq.start_time, out)
 
 
+def replay(model: PlantModel, x0, u_seq: InputSequence, theta) -> np.ndarray:
+    """The states of ``simulate(model, x0, u_seq, theta)``.
+
+    A recorded sequence keeps them, read-only, in its memo of the last
+    REPLAY_MEMO_SIZE replays, keyed on the model's identity and on the shape
+    and bytes of x0 and theta (so -0.0 and 0.0 are different keys). A key
+    that is already there is served without calling ``simulate``, which a
+    pure ``transition`` makes exact.
+    """
+    memo = u_seq._replays
+    if memo is None:
+        return simulate(model, x0, u_seq, theta).states
+    x0_arr = np.asarray(x0, dtype=float)
+    theta_arr = np.asarray(theta, dtype=float)
+    key = (id(model), x0_arr.shape, x0_arr.tobytes(), theta_arr.shape, theta_arr.tobytes())
+    entry = memo.get(key)
+    if entry is not None:
+        memo.move_to_end(key)
+        return entry[1]
+    states = simulate(model, x0, u_seq, theta).states
+    states.flags.writeable = False
+    # The entry holds the model, so no other model can take over its id.
+    memo[key] = (model, states)
+    if len(memo) > REPLAY_MEMO_SIZE:
+        memo.popitem(last=False)
+    return states
+
+
 def stacked_map(model: PlantModel, x0, u_hist: InputSequence, theta) -> np.ndarray:
-    """Flattened predicted states x(1), ..., x(T) under theta and the recorded inputs."""
+    """Flattened predicted states x(1), ..., x(T) under theta and the recorded
+    inputs; read-only when u_hist is recorded."""
     if len(u_hist) and u_hist.start_time != 0:
         raise ValueError("input history must start at time 0")
-    return simulate(model, x0, u_hist, theta).states[1:].ravel()
+    return replay(model, x0, u_hist, theta)[1:].ravel()
 
 
 def terminal_map(model: PlantModel, x0, u_hist: InputSequence, block: InputSequence, theta) -> np.ndarray:
     """Terminal state after replaying the full history plus a candidate block.
 
-    The whole trajectory is re-simulated from x(0), so the result depends on
-    theta through every step, not only through the block.
+    The whole trajectory is replayed from x(0), so the result depends on
+    theta through every step, not only through the block. The history part
+    is looked up in the memo of a recorded u_hist first.
     """
     if len(u_hist) and u_hist.start_time != 0:
         raise ValueError("input history must start at time 0")
     if len(block) and block.start_time != len(u_hist):
         raise ValueError(f"block must start at time {len(u_hist)}, got {block.start_time}")
-    seq = simulate(model, x0, u_hist, theta)
+    x_here = replay(model, x0, u_hist, theta)[-1]
     if len(block) == 0:
-        return seq.states[-1]
-    return simulate(model, seq.states[-1], block, theta).states[-1]
+        return x_here
+    return simulate(model, x_here, block, theta).states[-1]
 
 
 def fd_jacobian(func, x, lower=None, upper=None) -> np.ndarray:

@@ -189,10 +189,8 @@ class _RunLog:
         self.model = model
         self.theta_true = np.asarray(theta_true, dtype=float)
         states = simulate(model, x0, excitation, theta_true).states
-        # The copy keeps the outcome from sharing the caller's excitation array.
-        self.history = ObservationHistory(
-            states[0], InputSequence(0, excitation.inputs.copy()), StateSequence(1, states[1:])
-        )
+        # The history records its own copy of the caller's excitation array.
+        self.history = ObservationHistory(states[0], excitation, StateSequence(1, states[1:]))
         self.x = states[-1]
         self.blocks = []
 
@@ -212,7 +210,9 @@ class _RunLog:
             terminated,
             tuple(self.blocks),
             StateSequence(0, np.vstack([history.x0, history.observed_states.states])),
-            history.applied_inputs,
+            # The read-only inputs without the history's replay memo, which a
+            # failure's partial outcome would otherwise keep alive.
+            InputSequence(0, history.applied_inputs.inputs),
             self.error,
         )
 
@@ -240,40 +240,44 @@ def _run_blocks(model, theta_true, x0, u_exc, bounds_fn, solver, max_blocks, *, 
     mu, kappa, seed_rng)`` decides whether an attempt's plan is applied. A block
     whose attempts run out raises MaxInnerRetriesExceeded.
     """
-    log = _prepare(model, theta_true, x0, u_exc)
-    seed_rng = np.random.default_rng(solver.seed)
-    theta_guess = 0.5 * (model.param_lower + model.param_upper)
-    while not done(log.error):
-        k = len(log.blocks) + 1
-        if k > max_blocks:
-            raise MaxBlocksExceeded(f"{max_blocks} blocks without termination", log.outcome(False))
-        history = log.history
-        bounds_k = bounds_fn(log.x)
-        for retries, (tol, mu, kappa) in enumerate(attempts(log.blocks[-1] if log.blocks else None)):
-            try:
-                est = estimate(model, history, theta_guess, tol)
-                plan = synthesize(
-                    model, history, est.theta, bounds_k, synth_tol, seed=int(seed_rng.integers(2**63))
+    # A state or a hypothesis that diverges overflows to inf or nan, which the
+    # run's error and the estimator's residuals carry on purpose (an infinite
+    # residual loses every comparison); numpy is told so once per run.
+    with np.errstate(over="ignore", invalid="ignore"):
+        log = _prepare(model, theta_true, x0, u_exc)
+        seed_rng = np.random.default_rng(solver.seed)
+        theta_guess = 0.5 * (model.param_lower + model.param_upper)
+        while not done(log.error):
+            k = len(log.blocks) + 1
+            if k > max_blocks:
+                raise MaxBlocksExceeded(f"{max_blocks} blocks without termination", log.outcome(False))
+            history = log.history
+            bounds_k = bounds_fn(log.x)
+            for retries, (tol, mu, kappa) in enumerate(attempts(log.blocks[-1] if log.blocks else None)):
+                try:
+                    est = estimate(model, history, theta_guess, tol)
+                    plan = synthesize(
+                        model, history, est.theta, bounds_k, synth_tol, seed=int(seed_rng.integers(2**63))
+                    )
+                except RunFailure as err:
+                    err.block_index = k
+                    err.partial_outcome = log.outcome(False)
+                    raise
+                theta_guess = est.theta
+                if accept(history, est.theta, plan, mu, kappa, seed_rng):
+                    break
+            else:
+                raise MaxInnerRetriesExceeded(
+                    f"inclusion check failed {retries + 1} times in block {k}", log.outcome(False)
                 )
-            except RunFailure as err:
-                err.block_index = k
-                err.partial_outcome = log.outcome(False)
-                raise
-            theta_guess = est.theta
-            if accept(history, est.theta, plan, mu, kappa, seed_rng):
-                break
-        else:
-            raise MaxInnerRetriesExceeded(
-                f"inclusion check failed {retries + 1} times in block {k}", log.outcome(False)
+            x_end = log.apply(plan.block)
+            log.blocks.append(
+                BlockRecord(
+                    k, history.horizon, est.theta, mu, kappa, plan.horizon, plan.block,
+                    x_end, est.residual, retries,
+                )
             )
-        x_end = log.apply(plan.block)
-        log.blocks.append(
-            BlockRecord(
-                k, history.horizon, est.theta, mu, kappa, plan.horizon, plan.block,
-                x_end, est.residual, retries,
-            )
-        )
-    return log.outcome(True)
+        return log.outcome(True)
 
 
 def run_exact(

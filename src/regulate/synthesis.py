@@ -14,7 +14,7 @@ import numpy as np
 
 from .estimator import ObservationHistory
 from .gauss_newton import box_gauss_newton
-from .plant import InputSequence, PlantModel, RunFailure, jacobian_input, simulate
+from .plant import InputSequence, PlantModel, RunFailure, jacobian_input, replay, simulate
 # Not called here; kept importable under this module's name, where the
 # benchmark's span tracer looks it up.
 from .plant import terminal_map  # noqa: F401
@@ -35,6 +35,8 @@ class SynthesisBounds:
     max_amplitude: float
 
     def __post_init__(self):
+        if isinstance(self.max_horizon, bool) or not isinstance(self.max_horizon, (int, np.integer)):
+            raise ValueError(f"max_horizon must be an integer (got {self.max_horizon!r})")
         if self.max_horizon < 1:
             raise ValueError("max_horizon must be at least 1")
         if not self.max_amplitude > 0:
@@ -74,8 +76,9 @@ def synthesize(
     if tol <= 0:
         raise ValueError("tol must be positive")
     start_time = history.horizon
-    # Predicted state at the block start under theta, via full replay from x(0).
-    x_here = simulate(model, history.x0, history.applied_inputs, theta).states[-1]
+    # Predicted state at the block start under theta: the history's replay from
+    # x(0), which the estimate just computed at this theta and left in the memo.
+    x_here = replay(model, history.x0, history.applied_inputs, theta)[-1]
     rng = np.random.default_rng(seed)
     rho = bounds.max_amplitude
 

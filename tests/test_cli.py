@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -20,6 +23,8 @@ from regulate.cli import (
     replay_verify,
     run_experiment,
 )
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 EXACT_SCALAR = {
     "model": "scalar_linear",
@@ -283,6 +288,24 @@ class TestMain:
         captured = capfd.readouterr()
         assert "DLASCL" not in captured.out
         assert captured.err.startswith("solver failed:")
+
+    def test_overflowing_run_prints_no_runtime_warning(self, tmp_path, capfd):
+        # From x0 = 1e308 the run's error, the plant and the estimator's
+        # stencils overflow; the run says only why it stopped. A separate
+        # interpreter shows what a user sees on stderr, which the test
+        # runner's own warning capture would otherwise hide.
+        config_path = write_config(tmp_path, dict(EXACT_SCALAR, x0=[1e308], algorithm="inexact"))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        env.pop("PYTHONWARNINGS", None)
+        command = [sys.executable, "-m", "regulate.cli", "run", "--config", str(config_path),
+                   "--out", str(tmp_path / "out")]
+        assert subprocess.run(command, env=env, check=False).returncode == 3
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "solver failed: best residual inf above tolerance 5.000e-01 "
+            "after 3 iterations over all starts\n"
+        )
 
     def test_diverged_run_summary_is_strict_json(self, tmp_path):
         config_path = write_config(tmp_path, dict(EXACT_SCALAR, x0=[1e308]))

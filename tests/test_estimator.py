@@ -4,15 +4,20 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import regulate.plant
+import regulate.regulator
+import regulate.synthesis
 from regulate import (
     NotConverged,
     ObservationHistory,
     estimate,
     get_model,
     identifiability_margin,
+    inclusion_check,
     jacobian_theta,
     residual_norm,
     simulate,
+    synthesize,
 )
 from regulate.estimator import residual_vector
 from regulate.gauss_newton import box_gauss_newton
@@ -147,6 +152,48 @@ class TestEstimate:
             estimate(SCALAR, hist, [1.0], tol=0.0)
         with pytest.raises(ValueError):
             estimate(SCALAR, hist, [9.0], tol=1e-8)
+
+
+class TestReplayMemo:
+    def test_history_inputs_are_a_read_only_copy(self):
+        source = np.array([[0.5], [-0.25]])
+        hist = history_with_observations([1.0], source, [1.3, 0.79])
+        assert not hist.applied_inputs.inputs.flags.writeable
+        before = residual_vector(SCALAR, hist, [0.8]).copy()
+        source[:] = 9.0
+        assert np.array_equal(residual_vector(SCALAR, hist, [0.8]), before)
+        extended = hist.extended(as_inputs([[1.0]], 1, start_time=2), StateSequence(3, [[1.632]]))
+        assert not extended.applied_inputs.inputs.flags.writeable
+        assert extended.applied_inputs._replays == {}
+
+    def test_each_theta_replays_the_history_at_most_once(self, monkeypatch):
+        # One inner retry of the inexact loop, twice: estimate, synthesize and
+        # a failing inclusion check, then all three again at a smaller
+        # tolerance from the first estimate. The first estimate starts near
+        # the truth, as from a previous block's estimate, so that no restart
+        # grid runs: its starts would fill the memo with more than
+        # REPLAY_MEMO_SIZE other points. Every replay of the history from x(0)
+        # goes through simulate in one of these modules.
+        spec = get_model("affine_2d")
+        rng = np.random.default_rng(4)
+        inputs = np.vstack([spec.excitation.inputs, rng.uniform(-1.0, 1.0, (200, 2))])
+        hist = make_history(AFFINE, [1.0, 0.0], inputs, [0.5, 0.25])
+        replays = []
+        for module in (regulate.plant, regulate.synthesis, regulate.regulator):
+            original = module.simulate
+
+            def counted(model, x0, u_seq, theta, original=original):
+                if u_seq is hist.applied_inputs:
+                    replays.append(np.asarray(theta, dtype=float).tobytes())
+                return original(model, x0, u_seq, theta)
+
+            monkeypatch.setattr(module, "simulate", counted)
+        theta = np.array([0.45, 0.3])
+        for tol in (1e-2, 1e-12):
+            theta = estimate(AFFINE, hist, theta, tol).theta
+            plan = synthesize(AFFINE, hist, theta, spec.bounds, 5e-4, seed=1)
+            assert not inclusion_check(AFFINE, hist, theta, plan, 1.0, 5e-4, seed=2)
+        assert replays and len(replays) == len(set(replays))
 
 
 class TestIdentifiabilityMargin:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -17,7 +19,7 @@ from regulate import (
     step,
     terminal_map,
 )
-from regulate.plant import as_inputs, fd_jacobian, smallest_singular_value
+from regulate.plant import REPLAY_MEMO_SIZE, as_inputs, fd_jacobian, replay, smallest_singular_value
 
 SCALAR = get_model("scalar_linear").model
 AFFINE = get_model("affine_2d").model
@@ -115,6 +117,129 @@ class TestSimulate:
         assert np.array_equal(out.states, [[1.0, 2.0]])
         with pytest.raises(DimensionMismatch):
             simulate(AFFINE, [1.0], InputSequence.empty(2), [0.5, 0.25])
+
+
+def bits(arr):
+    return np.ascontiguousarray(arr, dtype=float).view(np.int64)
+
+
+def counting(model):
+    """A copy of model whose transition counts its calls in ``.calls``."""
+    calls = []
+
+    def transition(x, u, theta):
+        calls.append(1)
+        return model.transition(x, u, theta)
+
+    copy = dataclasses.replace(model, transition=transition)
+    return copy, calls
+
+
+class TestReplayMemo:
+    def test_memoized_replay_equals_fresh_simulate_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for model in (SCALAR, AFFINE, BILINEAR):
+            x0 = rng.uniform(-2, 2, model.state_dim)
+            for length in (0, 1, 7):
+                u = seq(rng.uniform(-1, 1, (length, model.input_dim)), model.input_dim).recorded()
+                for _ in range(3):
+                    theta = rng.uniform(model.param_lower, model.param_upper)
+                    fresh = simulate(model, x0, u, theta).states
+                    for _ in range(2):  # a miss, then a hit
+                        assert np.array_equal(bits(replay(model, x0, u, theta)), bits(fresh))
+                    assert np.array_equal(bits(stacked_map(model, x0, u, theta)), bits(fresh[1:].ravel()))
+
+    def test_overflow_to_inf_and_nan_is_served_as_computed(self):
+        cases = [
+            (SCALAR, [1e307], [[0.0]] * 6, [2.0]),  # inf
+            (AFFINE, [1e308, -1e308], [[0.0, 0.0]] * 4, [1.0, 1.0]),  # -inf
+            (BILINEAR, [1e308], [[1.0], [1.0], [-1.0]], [1.0, 0.4]),  # inf, then inf - inf
+        ]
+        seen = set()
+        with np.errstate(all="ignore"):
+            for model, x0, inputs, theta in cases:
+                u = seq(inputs, model.input_dim).recorded()
+                fresh = simulate(model, x0, u, theta).states
+                seen.update({"inf": np.isinf(fresh).any(), "nan": np.isnan(fresh).any()}.items())
+                for _ in range(2):
+                    assert np.array_equal(bits(replay(model, x0, u, theta)), bits(fresh))
+        assert ("inf", True) in seen and ("nan", True) in seen
+
+    def test_signed_zeros_in_theta_are_separate_keys(self):
+        # From x0 = 1 under u = -0.0: 0.0*1 + -0.0 = 0.0 but -0.0*1 + -0.0 = -0.0.
+        u = seq([-0.0]).recorded()
+        pos = replay(SCALAR, [1.0], u, [0.0])
+        neg = replay(SCALAR, [1.0], u, [-0.0])
+        assert np.array_equal(bits(pos), bits(simulate(SCALAR, [1.0], u, [0.0]).states))
+        assert np.array_equal(bits(neg), bits(simulate(SCALAR, [1.0], u, [-0.0]).states))
+        assert not np.array_equal(bits(pos), bits(neg))
+        assert len(u._replays) == 2
+
+    def test_other_x0_or_model_never_gets_another_keys_entry(self):
+        u = seq([0.5, -0.25, 1.0]).recorded()
+        model, calls = counting(SCALAR)
+        replay(model, [1.0], u, [0.8])
+        assert len(calls) == 3
+        other_x0 = replay(model, [2.0], u, [0.8])
+        assert len(calls) == 6
+        assert np.array_equal(other_x0, simulate(SCALAR, [2.0], u, [0.8]).states)
+        # The same transition in another model object is another key.
+        twin, twin_calls = counting(SCALAR)
+        replay(twin, [1.0], u, [0.8])
+        assert len(twin_calls) == 3
+        doubled = dataclasses.replace(SCALAR, transition=lambda x, u_t, th: 2.0 * SCALAR.transition(x, u_t, th))
+        assert np.array_equal(replay(doubled, [1.0], u, [0.8]), simulate(doubled, [1.0], u, [0.8]).states)
+        replay(model, [1.0], u, [0.8])
+        replay(model, [2.0], u, [0.8])
+        assert len(calls) == 6
+
+    def test_hits_are_read_only_and_the_memo_is_bounded(self):
+        u = seq([0.5, -0.25]).recorded()
+        model, calls = counting(SCALAR)
+        first = replay(model, [1.0], u, [0.8])
+        hit = replay(model, [1.0], u, [0.8])
+        assert hit is first and len(calls) == 2
+        assert not hit.flags.writeable
+        assert not stacked_map(model, [1.0], u, [0.8]).flags.writeable
+        with pytest.raises(ValueError):
+            hit[0, 0] = 5.0
+        for theta in np.linspace(0.5, 2.0, 3 * REPLAY_MEMO_SIZE):
+            replay(model, [1.0], u, [theta])
+            assert len(u._replays) <= REPLAY_MEMO_SIZE
+        assert len(u._replays) == REPLAY_MEMO_SIZE
+        # The least recently used entry went first: 0.8 is gone, the last theta is not.
+        replay(model, [1.0], u, [2.0])
+        assert len(calls) == 2 + 3 * 2 * REPLAY_MEMO_SIZE
+        replay(model, [1.0], u, [0.8])
+        assert len(calls) == 2 + 3 * 2 * REPLAY_MEMO_SIZE + 2
+
+    def test_a_plain_sequence_is_not_memoized(self):
+        model, calls = counting(SCALAR)
+        u = seq([0.5, -0.25])
+        a = replay(model, [1.0], u, [0.8])
+        b = replay(model, [1.0], u, [0.8])
+        assert len(calls) == 4 and a.flags.writeable and np.array_equal(a, b)
+
+    def test_recorded_copy_is_immune_to_the_source_array(self):
+        source = np.array([[0.5], [-0.25]])
+        u = InputSequence(0, source)
+        rec = u.recorded()
+        assert rec.recorded() is rec
+        assert not rec.inputs.flags.writeable and not np.shares_memory(rec.inputs, source)
+        before = replay(SCALAR, [1.0], rec, [0.8]).copy()
+        source[:] = 7.0
+        assert np.array_equal(replay(SCALAR, [1.0], rec, [0.8]), before)
+        assert np.array_equal(before, simulate(SCALAR, [1.0], seq([0.5, -0.25]), [0.8]).states)
+        with pytest.raises(ValueError):
+            rec.inputs[0, 0] = 1.0
+
+    def test_hit_skips_the_checks_only_of_an_equal_call(self):
+        u = seq([0.5]).recorded()
+        replay(SCALAR, [1.0], u, [0.8])
+        with pytest.raises(DimensionMismatch, match="theta"):
+            replay(SCALAR, [1.0], u, [[0.8]])
+        with pytest.raises(DimensionMismatch, match="initial state"):
+            replay(SCALAR, [[1.0]], u, [0.8])
 
 
 class TestStackedMap:

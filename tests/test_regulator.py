@@ -143,7 +143,10 @@ class TestRunExact:
                 bounds_fn=lambda x: SynthesisBounds(1, 0.1),
             )
         assert excinfo.value.block_index == 1
-        assert not excinfo.value.partial_outcome.terminated
+        partial = excinfo.value.partial_outcome
+        assert not partial.terminated
+        # The estimate replayed the history, but the log keeps no replay memo.
+        assert partial.inputs._replays is None and not partial.inputs.inputs.flags.writeable
 
 
 class TestRunInexact:

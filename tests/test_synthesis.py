@@ -121,6 +121,24 @@ class TestSynthesize:
             assert controllability_rank_check(spec.model, x, theta, plan.block)
 
 
+class TestSynthesisBounds:
+    @pytest.mark.parametrize("horizon", [1.5, 4.0, True, "2", None])
+    def test_max_horizon_must_be_an_integer(self, horizon):
+        with pytest.raises(ValueError, match="max_horizon must be an integer"):
+            SynthesisBounds(horizon, 4.0)
+
+    def test_numpy_integer_horizon_accepted(self):
+        bounds = SynthesisBounds(np.int64(2), 4.0)
+        model = SCALAR_SPEC.model
+        plan = synthesize(model, blank_history(model, [1.0]), [0.8], bounds, tol=1e-9, seed=1)
+        assert plan.horizon == 1
+
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_max_horizon_must_be_positive(self, horizon):
+        with pytest.raises(ValueError, match="at least 1"):
+            SynthesisBounds(horizon, 4.0)
+
+
 class TestFeasibilityProbe:
     SAMPLES = [np.array([v]) for v in (0.5, 0.875, 1.25, 1.625, 2.0)]
 

@@ -20,7 +20,7 @@ it exits 1 if any operation in any file differs, 0 if none does. A work cut,
 which must keep every output and may only lower the work, adds
 ``--allow-fewer-transitions``: then an operation fails the check only when its
 hash differs or its transition count rises, and each file's total transition
-count is printed before and after. Another numpy or BLAS build can move the
+count, and each workload's within it, is printed before and after. Another numpy or BLAS build can move the
 last bits of ``lstsq`` and ``svd``, so the file names the versions it was
 taken with, and the comparison is not part of the tier-1 tests.
 """
@@ -133,11 +133,19 @@ def _quiet_hashes(seed: int) -> list:
             return operation_hashes(seed)
 
 
+def _total(rows, workload=None) -> int:
+    """Total transitions of the operations in ``rows`` (name -> (count, hash)),
+    or of those of one workload, named by the part of the name before '/'."""
+    return sum(count for name, (count, _) in rows.items()
+               if workload is None or name.split("/")[0] == workload)
+
+
 def check(path, allow_fewer_transitions=False) -> int:
     """Recompute the hashes at the seed of the file at ``path`` and print every
     operation that differs from it; 1 if any does, 0 if none does. With
     ``allow_fewer_transitions`` a lower transition count under an equal hash
-    is printed but passes, and the total counts are printed."""
+    is printed but passes, and the total counts per workload and overall are
+    printed."""
     expected = json.loads(Path(path).read_text(encoding="utf-8"))
     want = {row["op"]: (row["transitions"], row["sha256"]) for row in expected["operations"]}
     got = {name: (count, digest) for name, count, digest in _quiet_hashes(expected["seed"])}
@@ -155,9 +163,10 @@ def check(path, allow_fewer_transitions=False) -> int:
         print(f"{name}: expected {want.get(name)}, got {got.get(name)}")
     print(f"{len(differ)} of {len(want)} operations differ from {path} (seed {expected['seed']})")
     if allow_fewer_transitions:
-        before = sum(count for count, _ in want.values())
-        after = sum(count for count, _ in got.values())
-        print(f"transitions {before} before, {after} after; "
+        for workload in sorted({name.split("/")[0] for name in want.keys() | got.keys()}):
+            print(f"transitions of {workload}: {_total(want, workload)} before, "
+                  f"{_total(got, workload)} after")
+        print(f"transitions {_total(want)} before, {_total(got)} after; "
               f"{len(failed)} operations change a hash or raise a count")
     return 1 if failed else 0
 
