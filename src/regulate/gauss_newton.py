@@ -61,13 +61,13 @@ def box_gauss_newton(residual, jacobian, x0, lower, upper, tol):
     polish = POLISH_ITERS
     while iters < MAX_ITERS:
         jac = np.asarray(jacobian(x), dtype=float)
-        if not np.all(np.isfinite(jac)):
+        if not np.isfinite(jac).all():
             break
         try:
             direction, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         except np.linalg.LinAlgError:
             break
-        if not np.all(np.isfinite(direction)) or not np.any(direction):
+        if not np.isfinite(direction).all() or not direction.any():
             break
         alpha = 1.0
         moved = False
@@ -75,7 +75,7 @@ def box_gauss_newton(residual, jacobian, x0, lower, upper, tol):
         while alpha >= MIN_STEP:
             cand = np.clip(x + alpha * direction, lower, upper)
             key = cand.tobytes()
-            if np.any(cand != x) and key != rejected:
+            if (cand != x).any() and key != rejected:
                 rc = np.asarray(residual(cand), dtype=float)
                 cc = _norm(rc)
                 if cc < cost:

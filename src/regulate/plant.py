@@ -6,6 +6,13 @@ finite-difference sensitivity / numeric-rank diagnostics. Every
 finite-difference Jacobian uses the one relative step ``FD_STEP``.
 ``RunFailure`` is the type of every failure that stops a regulation run.
 
+Every multi-step function runs the one step loop ``_advance``: each public
+call checks its arguments once, and inside the loop only the shape of each
+transition output is checked. The short-block paths (``terminal_map``'s
+block, and through ``block_end_map`` ``jacobian_input``'s stencil and
+``synthesize``) call the loop directly rather than ``simulate``, so a
+stencil point costs its transitions and no sequence objects.
+
 A recorded input sequence (``InputSequence.recorded``, as every observation
 history holds) has read-only inputs and a memo of its last
 ``REPLAY_MEMO_SIZE`` replays, which ``replay`` looks up before it calls
@@ -62,7 +69,11 @@ class PlantModel:
     ``param_box`` has one [lo, hi] row per parameter coordinate; the box is the
     set of admissible parameter hypotheses. ``transition`` must be a pure,
     deterministic function of its arguments: the solvers skip repeated
-    evaluations, and ``replay`` serves repeated replays from a memo.
+    evaluations, and ``replay`` serves repeated replays from a memo. It must
+    also return a new array on each call, never one of its arguments or a
+    buffer it reuses: the step loop hands its output on as the next state
+    and as the result of ``terminal_map`` and ``block_end_map``, without a
+    copy.
     """
 
     state_dim: int
@@ -74,8 +85,10 @@ class PlantModel:
 
     def __post_init__(self):
         for name in ("state_dim", "input_dim", "param_dim"):
-            if int(getattr(self, name)) < 1:
-                raise ValueError(f"{name} must be a positive integer")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be a positive integer (got {value!r})")
+            object.__setattr__(self, name, int(value))
         box = np.asarray(self.param_box, dtype=float).reshape(self.param_dim, 2)
         if np.any(box[:, 0] > box[:, 1]):
             raise ValueError("param_box rows must satisfy lo <= hi")
@@ -203,6 +216,34 @@ def as_inputs(values, input_dim: int, start_time: int = 0) -> InputSequence:
     return InputSequence(start_time, arr)
 
 
+def _advance(model: PlantModel, x: np.ndarray, inputs: np.ndarray, theta: np.ndarray, out=None) -> np.ndarray:
+    """The state after applying each row of ``inputs`` in turn from x; with
+    ``out``, state i+1 is written to out[i] as well.
+
+    x and theta must already be checked and ``inputs`` be 2-D with the
+    plant's input width. ``model.transition`` runs once per row, and only
+    its output is checked: a float64 array of shape (state_dim,) is taken as
+    it is, anything else goes through ``_vector``.
+    """
+    transition = model.transition
+    shape = (model.state_dim,)
+    f64 = np.dtype(np.float64)
+    for i, u in enumerate(inputs):
+        x = transition(x, u, theta)
+        if type(x) is not np.ndarray or x.dtype is not f64 or x.shape != shape:
+            x = _vector(x, model.state_dim, "transition output")
+        if out is not None:
+            out[i] = x
+    return x
+
+
+def _block_inputs(model: PlantModel, block: InputSequence) -> np.ndarray:
+    inputs = block.inputs
+    if inputs.shape[1:] != (model.input_dim,):
+        raise DimensionMismatch(f"input must have shape ({model.input_dim},), got {inputs.shape[1:]}")
+    return inputs
+
+
 def step(model: PlantModel, x, u, theta) -> np.ndarray:
     """One transition x(t+1) = f(x(t), u(t), theta)."""
     x = _vector(x, model.state_dim, "state")
@@ -217,25 +258,15 @@ def simulate(model: PlantModel, x0, u_seq: InputSequence, theta) -> StateSequenc
 
     Equivalent to chaining ``step``, with the arguments checked once per call:
     only the shape of each transition output is checked inside the loop. The
-    input width and theta are not checked for an empty sequence.
+    input width and theta are not checked for an empty sequence. Callers that
+    need only a short block's last state run the step loop without this call.
     """
     x = _vector(x0, model.state_dim, "initial state")
     n = len(u_seq)
     out = np.empty((n + 1, model.state_dim))
     out[0] = x
-    if n == 0:
-        return StateSequence(u_seq.start_time, out)
-    inputs = u_seq.inputs
-    if inputs.shape[1:] != (model.input_dim,):
-        raise DimensionMismatch(f"input must have shape ({model.input_dim},), got {inputs.shape[1:]}")
-    theta = _vector(theta, model.param_dim, "theta")
-    transition = model.transition
-    shape = (model.state_dim,)
-    for i in range(n):
-        x = np.asarray(transition(x, inputs[i], theta), dtype=float)
-        if x.shape != shape:
-            x = _vector(x, model.state_dim, "transition output")
-        out[i + 1] = x
+    if n:
+        _advance(model, x, _block_inputs(model, u_seq), _vector(theta, model.param_dim, "theta"), out[1:])
     return StateSequence(u_seq.start_time, out)
 
 
@@ -289,7 +320,8 @@ def terminal_map(model: PlantModel, x0, u_hist: InputSequence, block: InputSeque
     x_here = replay(model, x0, u_hist, theta)[-1]
     if len(block) == 0:
         return x_here
-    return simulate(model, x_here, block, theta).states[-1]
+    # x_here is a replayed state, so only theta and the block need a check.
+    return _advance(model, x_here, _block_inputs(model, block), _vector(theta, model.param_dim, "theta"))
 
 
 def fd_jacobian(func, x, lower=None, upper=None) -> np.ndarray:
@@ -339,19 +371,28 @@ def jacobian_theta(model: PlantModel, x0, u_hist: InputSequence, theta) -> np.nd
     )
 
 
+def block_end_map(model: PlantModel, x, theta, horizon: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The map from a flattened block of ``horizon`` inputs to the state the
+    block drives x to under theta.
+
+    x and theta are checked once, here; each call of the map then runs the
+    block through the step loop with no further argument check."""
+    x = _vector(x, model.state_dim, "state")
+    theta = _vector(theta, model.param_dim, "theta")
+    shape = (horizon, model.input_dim)
+    return lambda u_flat: _advance(model, x, u_flat.reshape(shape), theta)
+
+
 def jacobian_input(model: PlantModel, x, block: InputSequence, theta) -> np.ndarray:
     """Finite-difference sensitivity of the block's terminal state to the
-    flattened block inputs, shape (state_dim, input_dim * len(block))."""
+    flattened block inputs, shape (state_dim, input_dim * len(block)).
+
+    The block's input width is checked once, and x and theta once by
+    ``block_end_map``, whose map each stencil point runs."""
     if len(block) == 0:
         raise ValueError("block must be nonempty")
-    x = _vector(x, model.state_dim, "state")
-    horizon = len(block)
-
-    def terminal(u_flat):
-        seq = InputSequence(block.start_time, u_flat.reshape(horizon, model.input_dim))
-        return simulate(model, x, seq, theta).states[-1]
-
-    return fd_jacobian(terminal, block.flat)
+    _block_inputs(model, block)
+    return fd_jacobian(block_end_map(model, x, theta, len(block)), block.flat)
 
 
 def _rank_and_sigma(matrix, n: int, rel_tol: float = 1e-8) -> tuple:

@@ -14,10 +14,10 @@ import numpy as np
 
 from .estimator import ObservationHistory
 from .gauss_newton import box_gauss_newton
-from .plant import InputSequence, PlantModel, RunFailure, jacobian_input, replay, simulate
+from .plant import InputSequence, PlantModel, RunFailure, block_end_map, jacobian_input, replay
 # Not called here; kept importable under this module's name, where the
-# benchmark's span tracer looks it up.
-from .plant import terminal_map  # noqa: F401
+# benchmark's span tracer looks them up.
+from .plant import simulate, terminal_map  # noqa: F401
 
 # Gauss-Newton starts per horizon: the zero block and seeded random blocks.
 MULTISTART_COUNT = 5
@@ -72,6 +72,9 @@ def synthesize(
     blocks inside the amplitude box; among successful starts the plan with the
     smallest input 2-norm wins. Deterministic for a fixed seed. Raises
     Infeasible when no horizon up to the cap succeeds.
+
+    Every candidate block runs through the plant's ``block_end_map``, which
+    checks x and theta once per horizon, without a ``simulate`` call of its own.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -86,12 +89,15 @@ def synthesize(
         dim = model.input_dim * horizon
         lower = np.full(dim, -rho)
         upper = np.full(dim, rho)
+        shape = (horizon, model.input_dim)
+        # x_here is the history's replay, so this is terminal_map's block part.
+        block_end = block_end_map(model, x_here, theta, horizon)
 
         def block_of(u_flat):
-            return InputSequence(start_time, u_flat.reshape(horizon, model.input_dim))
+            return InputSequence(start_time, u_flat.reshape(shape))
 
         def res(u_flat):
-            return simulate(model, x_here, block_of(u_flat), theta).states[-1] - model.target
+            return block_end(u_flat) - model.target
 
         def jac(u_flat):
             return jacobian_input(model, x_here, block_of(u_flat), theta)
@@ -106,10 +112,8 @@ def synthesize(
                 winners.append(run.x)
         if winners:
             u_best = min(winners, key=lambda u: float(np.linalg.norm(u)))
-            block = block_of(u_best)
-            # x_here is the history's replay, so this is terminal_map's value.
-            x_end = simulate(model, x_here, block, theta).states[-1]
-            return ControlPlan(horizon, block, float(np.linalg.norm(x_end - model.target)))
+            x_end = block_end(u_best)
+            return ControlPlan(horizon, block_of(u_best), float(np.linalg.norm(x_end - model.target)))
     raise Infeasible(
         f"no block of horizon <= {bounds.max_horizon} with amplitude <= {rho} "
         f"reaches the target within {tol}"

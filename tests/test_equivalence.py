@@ -1,6 +1,8 @@
 """The replay primitives and the block loop against their reference versions.
 
-``simulate`` checks its arguments once per call and ``fd_jacobian`` skips the
+``simulate`` checks its arguments once per call, the short blocks of
+``terminal_map``, ``jacobian_input`` and ``synthesize`` run through the step
+loop ``_advance`` without a ``simulate`` call, and ``fd_jacobian`` skips the
 centre point a central difference never uses. ``run_exact`` and
 ``run_inexact`` share one block loop over a run log kept as an
 ``ObservationHistory``. ``box_gauss_newton``, ``estimate`` and
@@ -69,6 +71,14 @@ def reference_simulate(model, x0, u_seq, theta):
     return StateSequence(u_seq.start_time, out)
 
 
+def reference_advance(model, x, inputs, theta, out=None):
+    """The block's states from ``reference_simulate``; returns the last one."""
+    states = reference_simulate(model, x, InputSequence(0, inputs), theta).states
+    if out is not None:
+        out[:] = states[1:]
+    return states[-1]
+
+
 def reference_fd_jacobian(func, x, step_size=1e-6, lower=None, upper=None):
     """Central differences, sized from an evaluation at the centre."""
     if step_size <= 0:
@@ -104,7 +114,7 @@ LOOKUP_MODULES = (
     "regulate.synthesis",
     "regulate.cli",
 )
-REFERENCES = {"simulate": reference_simulate, "fd_jacobian": reference_fd_jacobian}
+REFERENCES = {"simulate": reference_simulate, "_advance": reference_advance, "fd_jacobian": reference_fd_jacobian}
 
 
 def install_references(monkeypatch) -> set:
@@ -127,10 +137,11 @@ def assert_same(new, ref, what):
 
 
 def test_references_cover_every_lookup_name(monkeypatch):
-    # A new import of either function elsewhere must join this list, or the
+    # A new import of any of them elsewhere must join this list, or the
     # end-to-end cases below would run it unreplaced.
     assert install_references(monkeypatch) == {
         "regulate.plant.simulate",
+        "regulate.plant._advance",
         "regulate.plant.fd_jacobian",
         "regulate.regulator.simulate",
         "regulate.regulator.fd_jacobian",

@@ -19,7 +19,7 @@ from regulate import (
     step,
     terminal_map,
 )
-from regulate.plant import REPLAY_MEMO_SIZE, as_inputs, fd_jacobian, replay, smallest_singular_value
+from regulate.plant import REPLAY_MEMO_SIZE, as_inputs, block_end_map, fd_jacobian, replay, smallest_singular_value
 
 SCALAR = get_model("scalar_linear").model
 AFFINE = get_model("affine_2d").model
@@ -440,3 +440,158 @@ class TestFdJacobian:
         jac = fd_jacobian(f, x, lower=x, upper=x)
         assert len(points) == 1 and np.array_equal(points[0], x)
         assert np.array_equal(jac, np.zeros((3, 2)))
+
+
+class TestPlantModelDimensions:
+    @pytest.mark.parametrize("name", ["state_dim", "input_dim", "param_dim"])
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, "2", None, 0, -1])
+    def test_non_integer_boolean_or_small_dimensions_rejected(self, name, bad):
+        dims = {"state_dim": 1, "input_dim": 1, "param_dim": 1, name: bad}
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+            PlantModel(**dims, transition=SCALAR.transition, param_box=[[0.5, 2.0]], target=[0.0])
+
+    def test_numpy_integer_dimensions_accepted_as_int(self):
+        model = PlantModel(np.int64(2), np.int32(2), np.int64(2), AFFINE.transition, AFFINE.param_box, [0.0, 0.0])
+        assert (model.state_dim, model.input_dim, model.param_dim) == (2, 2, 2)
+        assert all(type(d) is int for d in (model.state_dim, model.input_dim, model.param_dim))
+        states = simulate(model, [1.0, 0.0], seq([[0.5, 0.0], [0.0, 0.5]], dim=2), [0.5, 0.25]).states
+        ref = simulate(AFFINE, [1.0, 0.0], seq([[0.5, 0.0], [0.0, 0.5]], dim=2), [0.5, 0.25]).states
+        assert np.array_equal(bits(states), bits(ref))
+
+
+def reference_terminal_map(model, x0, u_hist, block, theta):
+    """The history, then the block, each through its own ``simulate`` call."""
+    x_here = simulate(model, x0, u_hist, theta).states[-1]
+    return simulate(model, x_here, block, theta).states[-1]
+
+
+def reference_jacobian_input(model, x, block, theta):
+    """Every stencil point through its own ``simulate`` call."""
+    horizon = len(block)
+
+    def terminal(u_flat):
+        return simulate(model, x, InputSequence(block.start_time, u_flat.reshape(horizon, model.input_dim)),
+                        theta).states[-1]
+
+    return fd_jacobian(terminal, block.flat)
+
+
+def _lean_cases(rng):
+    """Random cases per plant, then blocks that overflow to inf and nan."""
+    cases = []
+    for model in (SCALAR, AFFINE, BILINEAR):
+        for _ in range(8):
+            T = int(rng.integers(0, 6))
+            horizon = int(rng.integers(1, 4))
+            cases.append((
+                model,
+                rng.uniform(-2, 2, model.state_dim),
+                seq(rng.uniform(-1, 1, (T, model.input_dim)), model.input_dim),
+                seq(rng.uniform(-1, 1, (horizon, model.input_dim)), model.input_dim, start=T),
+                rng.uniform(model.param_lower, model.param_upper),
+            ))
+    cases += [
+        (SCALAR, np.array([1e308]), seq([0.0]), seq([[0.0]] * 3, start=1), np.array([2.0])),
+        (AFFINE, np.array([1e308, -1e308]), seq([[0.0, 0.0]], 2), seq([[0.0, 0.0]] * 3, 2, start=1),
+         np.array([1.0, 1.0])),
+        (BILINEAR, np.array([1e308]), seq([1.0]), seq([[1.0], [-1.0]], start=1), np.array([1.0, 0.4])),
+    ]
+    return cases
+
+
+class TestLeanBlockPath:
+    """``terminal_map``'s block and ``jacobian_input``'s stencil run the step
+    loop directly; they must equal a ``simulate`` call per evaluation."""
+
+    def test_bit_for_bit_against_a_simulate_call_per_evaluation(self):
+        seen = set()
+        with np.errstate(all="ignore"):
+            for model, x0, hist, block, theta in _lean_cases(np.random.default_rng(25)):
+                lean = terminal_map(model, x0, hist, block, theta)
+                assert np.array_equal(bits(lean), bits(reference_terminal_map(model, x0, hist, block, theta)))
+                jac = jacobian_input(model, x0, block, theta)
+                assert np.array_equal(bits(jac), bits(reference_jacobian_input(model, x0, block, theta)))
+                seen |= {"inf"} if np.isinf(lean).any() else set()
+                seen |= {"nan"} if np.isnan(jac).any() else set()
+        assert seen == {"inf", "nan"}
+
+    def test_malformed_second_step_still_raises(self):
+        def f(x, u, th):
+            return x + u if x[0] < 1.5 else np.array([x[0], x[0]])
+
+        model = PlantModel(1, 1, 1, f, [[0.0, 1.0]], [0.0])
+        block = seq([1.0, 0.0], start=1)
+        with pytest.raises(DimensionMismatch, match="transition output"):
+            jacobian_input(model, [1.0], block, [0.5])
+        with pytest.raises(DimensionMismatch, match="transition output"):
+            terminal_map(model, [1.0], seq([0.0]), block, [0.5])
+
+    def test_arguments_checked_once_per_call(self):
+        block = seq([0.5, 0.5])
+        with pytest.raises(DimensionMismatch, match="theta"):
+            jacobian_input(SCALAR, [1.0], block, [0.8, 0.1])
+        with pytest.raises(DimensionMismatch, match="state"):
+            jacobian_input(SCALAR, [1.0, 2.0], block, [0.8])
+        with pytest.raises(DimensionMismatch, match="input must have shape"):
+            jacobian_input(AFFINE, [1.0, 0.0], block, [0.5, 0.25])
+        # An empty history checks no theta; the block does.
+        with pytest.raises(DimensionMismatch, match="theta"):
+            terminal_map(SCALAR, [1.0], InputSequence.empty(1), block, [0.8, 0.1])
+        with pytest.raises(DimensionMismatch, match="input must have shape"):
+            terminal_map(AFFINE, [1.0, 0.0], InputSequence.empty(2), block, [0.5, 0.25])
+
+    def test_block_end_map_checks_once_and_equals_a_simulate_call(self):
+        with pytest.raises(DimensionMismatch, match="theta"):
+            block_end_map(SCALAR, [1.0], [0.8, 0.1], 2)
+        with pytest.raises(DimensionMismatch, match="state"):
+            block_end_map(AFFINE, [1.0], [0.5, 0.25], 2)
+        with np.errstate(all="ignore"):
+            for model, x0, _, block, theta in _lean_cases(np.random.default_rng(26)):
+                end = block_end_map(model, x0, theta, len(block))
+                blank = InputSequence.empty(model.input_dim)
+                ref = reference_terminal_map(model, x0, blank, InputSequence(0, block.inputs), theta)
+                assert np.array_equal(bits(end(block.flat.copy())), bits(ref))
+
+    def test_transitions_per_call_unchanged(self):
+        for base in (SCALAR, AFFINE, BILINEAR):
+            model, calls = counting(base)
+            x = np.ones(model.state_dim)
+            theta = model.param_lower
+            for horizon in (1, 2, 3):
+                block = seq(np.full((horizon, model.input_dim), 0.25), model.input_dim)
+                del calls[:]
+                jacobian_input(model, x, block, theta)
+                # Two stencil points per input coordinate, one transition per step.
+                assert len(calls) == 2 * horizon * model.input_dim * horizon
+                del calls[:]
+                terminal_map(model, x, InputSequence.empty(model.input_dim), block, theta)
+                assert len(calls) == horizon
+
+
+# (x, u, theta) -> next state, written with numpy scalars as the benchmark
+# plants compute it. A rewrite of a transition (say, over Python floats) must
+# keep these bits, NaN signs included.
+PINNED_FORMULAS = {
+    "scalar_linear": lambda x, u, th: np.array([th[0] * x[0] + u[0]]),
+    "affine_2d": lambda x, u, th: np.array([x[1] + u[0], th[0] * x[0] + th[1] * x[1] + u[1]]),
+    "bilinear_scalar": lambda x, u, th: np.array([th[0] * x[0] + (1.0 + th[1] * x[0]) * u[0]]),
+}
+SPECIAL_VALUES = np.array([-np.inf, np.inf, np.nan, -np.nan, -0.0, 0.0, 1e308, -1e308, 5e-324, 1.0, -0.5])
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FORMULAS))
+def test_benchmark_transition_bits_pinned(name):
+    model = get_model(name).model
+    formula = PINNED_FORMULAS[name]
+    rng = np.random.default_rng([25, len(name)])
+    cases = [(np.full(model.state_dim, -np.inf), np.full(model.input_dim, np.nan), np.full(model.param_dim, -0.0))]
+    for _ in range(3000):
+        cases.append(tuple(rng.choice(SPECIAL_VALUES, dim)
+                           for dim in (model.state_dim, model.input_dim, model.param_dim)))
+    nan_results = 0
+    with np.errstate(all="ignore"):
+        for x, u, th in cases:
+            got = model.transition(x, u, th)
+            assert np.array_equal(bits(got), bits(formula(x, u, th))), (x, u, th)
+            nan_results += bool(np.isnan(got).any())
+    assert nan_results > 100

@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import regulate.synthesis as synthesis
 from regulate import (
+    DimensionMismatch,
     Infeasible,
     ObservationHistory,
     PlantModel,
@@ -13,7 +17,7 @@ from regulate import (
     simulate,
     synthesize,
 )
-from regulate.plant import StateSequence, as_inputs
+from regulate.plant import InputSequence, StateSequence, as_inputs, fd_jacobian, replay
 
 SCALAR_SPEC = get_model("scalar_linear")
 AFFINE_SPEC = get_model("affine_2d")
@@ -159,3 +163,97 @@ class TestFeasibilityProbe:
         bounds = SynthesisBounds(1, 1.5)
         rep = feasibility_probe(SCALAR_SPEC.model, [1.0], bounds, self.SAMPLES, tol=1e-9)
         assert not rep.all_reachable
+
+
+def simulate_block_end_map(model, x, theta, horizon):
+    """``block_end_map`` with every evaluation through its own ``simulate`` call."""
+    return lambda u: simulate(model, x, InputSequence(0, u.reshape(horizon, model.input_dim)), theta).states[-1]
+
+
+def simulate_jacobian_input(model, x, block, theta):
+    """``jacobian_input`` with every stencil point through its own ``simulate`` call."""
+    return fd_jacobian(simulate_block_end_map(model, x, theta, len(block)), block.flat)
+
+
+def counting(model):
+    calls = []
+
+    def transition(x, u, theta):
+        calls.append(1)
+        return model.transition(x, u, theta)
+
+    return dataclasses.replace(model, transition=transition), calls
+
+
+def bits(arr):
+    return np.ascontiguousarray(arr, dtype=float).view(np.int64)
+
+
+def _plan_or_error(model, history, theta, bounds, seed):
+    try:
+        plan = synthesize(model, history, theta, bounds, tol=1e-9, seed=seed)
+    except Infeasible as err:
+        return str(err)
+    return plan.horizon, bits(plan.block.inputs), bits([plan.predicted_terminal_error])
+
+
+class TestLeanSynthesis:
+    """``synthesize`` runs its candidate blocks through the plant's step loop;
+    plans, failures and transition counts must equal a ``simulate`` call per
+    evaluation."""
+
+    def _cases(self):
+        rng = np.random.default_rng(25)
+        for name in ("scalar_linear", "affine_2d", "bilinear_scalar"):
+            spec = get_model(name)
+            model = spec.model
+            for _ in range(4):
+                x0 = rng.uniform(-1.5, 1.5, model.state_dim)
+                inputs = rng.uniform(-0.5, 0.5, (int(rng.integers(0, 4)), model.input_dim))
+                theta_true = rng.uniform(model.param_lower, model.param_upper)
+                theta = rng.uniform(model.param_lower, model.param_upper)
+                yield model, recorded_history(model, x0, inputs, theta_true), theta, spec.bounds
+        # A history whose replay overflows: every residual is inf or nan.
+        model = SCALAR_SPEC.model
+        yield model, recorded_history(model, [1e308], [[0.0]], [0.5]), np.array([2.0]), SCALAR_SPEC.bounds
+
+    def test_plans_bit_for_bit_with_equal_transition_counts(self, monkeypatch):
+        outcomes = []
+        with np.errstate(all="ignore"):
+            for i, (base, history, theta, bounds) in enumerate(self._cases()):
+                model, calls = counting(base)
+                # Both runs then take the history's replay from its memo.
+                replay(model, history.x0, history.applied_inputs, theta)
+                del calls[:]
+                lean = _plan_or_error(model, history, theta, bounds, seed=i)
+                lean_calls = len(calls)
+                del calls[:]
+                with monkeypatch.context() as m:
+                    m.setattr(synthesis, "block_end_map", simulate_block_end_map)
+                    m.setattr(synthesis, "jacobian_input", simulate_jacobian_input)
+                    ref = _plan_or_error(model, history, theta, bounds, seed=i)
+                assert lean_calls == len(calls) > 0, i
+                if isinstance(ref, str):
+                    assert lean == ref, i
+                else:
+                    assert lean[0] == ref[0] and all(np.array_equal(a, b) for a, b in zip(lean[1:], ref[1:])), i
+                outcomes.append(isinstance(ref, str))
+        assert outcomes[-1] and not all(outcomes)
+
+    def test_malformed_second_step_still_raises(self):
+        # Well-formed from x < 1.5; the first step lands at 2 + u, so only
+        # the second step of a two-step block is malformed. Horizon 1 cannot
+        # reach 0 with |u| <= 0.1, so horizon 2 is tried.
+        def f(x, u, th):
+            return x + 1.0 + u if x[0] < 1.5 else np.array([x[0], x[0]])
+
+        model = PlantModel(1, 1, 1, f, [[0.0, 1.0]], [0.0])
+        with pytest.raises(DimensionMismatch, match="transition output"):
+            synthesize(model, blank_history(model, [1.0]), [0.5], SynthesisBounds(2, 0.1), tol=1e-9)
+
+    def test_wrong_theta_length_on_an_empty_history(self):
+        model = SCALAR_SPEC.model
+        with pytest.raises(DimensionMismatch, match="theta"):
+            synthesize(model, blank_history(model, [1.0]), [0.8, 0.1], SCALAR_SPEC.bounds, tol=1e-9)
+        with pytest.raises(DimensionMismatch, match="theta"):
+            feasibility_probe(model, [1.0], SCALAR_SPEC.bounds, [np.array([0.8, 0.1])], tol=1e-9)
