@@ -73,41 +73,45 @@ class BenchmarkSpec:
     oracle: BenchmarkOracle
 
 
-def _stacked_param_jacobian(model: PlantModel, deriv: StepDerivatives, x0, u_seq: InputSequence, theta):
-    """Exact sensitivity of the stacked states to the parameter, by forward
-    propagation of the chain rule."""
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    sens = np.zeros((model.state_dim, model.param_dim))
-    rows = []
-    for i in range(len(u_seq)):
-        u = u_seq.inputs[i]
-        sens = deriv.wrt_state(x, u, theta) @ sens + deriv.wrt_param(x, u, theta)
-        x = step(model, x, u, theta)
-        rows.append(sens)
-    if not rows:
-        return np.zeros((0, model.param_dim))
-    return np.vstack(rows)
-
-
-def _terminal_input_jacobian(model: PlantModel, deriv: StepDerivatives, x, block: InputSequence, theta):
-    """Exact sensitivity of the block's terminal state to the flattened block inputs."""
+def _forward_sensitivities(model: PlantModel, deriv: StepDerivatives, x, u_seq: InputSequence, theta):
+    """Exact chain-rule sensitivities along u_seq from x: the stacked states' by
+    theta, and the terminal state's by the flattened inputs."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    pieces = []
-    for i in range(len(block)):
-        u = block.inputs[i]
+    sens = np.zeros((model.state_dim, model.param_dim))
+    rows, pieces = [], []
+    for u in u_seq.inputs:
         a = deriv.wrt_state(x, u, theta)
-        pieces = [a @ piece for piece in pieces]
-        pieces.append(deriv.wrt_input(x, u, theta))
+        sens = a @ sens + deriv.wrt_param(x, u, theta)
+        rows.append(sens)
+        pieces = [a @ piece for piece in pieces] + [deriv.wrt_input(x, u, theta)]
         x = step(model, x, u, theta)
-    return np.hstack(pieces) if pieces else np.zeros((model.state_dim, 0))
+    stacked = np.vstack(rows) if rows else np.zeros((0, model.param_dim))
+    return stacked, np.hstack(pieces) if pieces else np.zeros((model.state_dim, 0))
 
 
-def _first_transitions(history: ObservationHistory):
-    """States x(0), ..., x(T) and the applied inputs, as plain arrays."""
-    states = np.vstack([history.x0.reshape(1, -1), history.observed_states.states])
-    return states, history.applied_inputs.inputs
+def _spec(*, name, model, deriv, deadbeat, parameter, excitation, bounds, deadbeat_horizon, min_history):
+    """One plant's facts wired into a BenchmarkSpec: ``deadbeat(x, th)`` gets
+    float arrays and returns the block, and ``parameter(states, inputs)`` gets
+    x(0), ..., x(T) and the inputs of a history at least ``min_history`` long."""
+
+    def deadbeat_block(x, th):
+        return deadbeat_horizon, deadbeat(np.atleast_1d(np.asarray(x, float)), np.atleast_1d(np.asarray(th, float)))
+
+    def parameter_from_history(history):
+        if history.horizon < min_history:
+            return UNIDENTIFIABLE
+        states = np.vstack([history.x0.reshape(1, -1), history.observed_states.states])
+        return parameter(states, history.applied_inputs.inputs)
+
+    oracle = BenchmarkOracle(
+        deadbeat_horizon,
+        deadbeat_block,
+        parameter_from_history,
+        lambda x0, u_seq, th: _forward_sensitivities(model, deriv, x0, u_seq, th)[0],
+        lambda x, block, th: _forward_sensitivities(model, deriv, x, block, th)[1],
+    )
+    return BenchmarkSpec(name, model, excitation, bounds, oracle)
 
 
 def _scalar_linear() -> BenchmarkSpec:
@@ -115,37 +119,23 @@ def _scalar_linear() -> BenchmarkSpec:
         return np.array([th[0] * x[0] + u[0]])
 
     model = PlantModel(1, 1, 1, f, [[0.5, 2.0]], [0.0])
-    deriv = StepDerivatives(
-        wrt_state=lambda x, u, th: np.array([[th[0]]]),
-        wrt_input=lambda x, u, th: np.array([[1.0]]),
-        wrt_param=lambda x, u, th: np.array([[x[0]]]),
-    )
 
-    def deadbeat(x, th):
-        x = np.atleast_1d(np.asarray(x, float))
-        th = np.atleast_1d(np.asarray(th, float))
-        return 1, np.array([[model.target[0] - th[0] * x[0]]])
-
-    def parameter(history):
-        if history.horizon < 1:
-            return UNIDENTIFIABLE
-        states, inputs = _first_transitions(history)
+    def parameter(states, inputs):
         if states[0, 0] == 0.0:
             return UNIDENTIFIABLE
         return np.array([(states[1, 0] - inputs[0, 0]) / states[0, 0]])
 
-    return BenchmarkSpec(
-        "scalar_linear",
-        model,
-        InputSequence(0, [[0.5]]),
-        SynthesisBounds(2, 4.0),
-        BenchmarkOracle(
-            1,
-            deadbeat,
-            parameter,
-            lambda x0, u_seq, th: _stacked_param_jacobian(model, deriv, x0, u_seq, th),
-            lambda x, block, th: _terminal_input_jacobian(model, deriv, x, block, th),
+    return _spec(
+        name="scalar_linear", model=model,
+        deriv=StepDerivatives(
+            wrt_state=lambda x, u, th: np.array([[th[0]]]),
+            wrt_input=lambda x, u, th: np.array([[1.0]]),
+            wrt_param=lambda x, u, th: np.array([[x[0]]]),
         ),
+        deadbeat=lambda x, th: np.array([[model.target[0] - th[0] * x[0]]]),
+        parameter=parameter,
+        excitation=InputSequence(0, [[0.5]]), bounds=SynthesisBounds(2, 4.0),
+        deadbeat_horizon=1, min_history=1,
     )
 
 
@@ -154,29 +144,14 @@ def _affine_2d() -> BenchmarkSpec:
         return np.array([x[1] + u[0], th[0] * x[0] + th[1] * x[1] + u[1]])
 
     model = PlantModel(2, 2, 2, f, [[0.25, 1.0], [0.25, 1.0]], [0.0, 0.0])
-    deriv = StepDerivatives(
-        wrt_state=lambda x, u, th: np.array([[0.0, 1.0], [th[0], th[1]]]),
-        wrt_input=lambda x, u, th: np.eye(2),
-        wrt_param=lambda x, u, th: np.array([[0.0, 0.0], [x[0], x[1]]]),
-    )
 
     def deadbeat(x, th):
         # Drift one step under zero input, then cancel both coordinates.
-        x = np.atleast_1d(np.asarray(x, float))
-        th = np.atleast_1d(np.asarray(th, float))
         drift = np.array([x[1], th[0] * x[0] + th[1] * x[1]])
-        u1 = np.array(
-            [
-                model.target[0] - drift[1],
-                model.target[1] - th[0] * drift[0] - th[1] * drift[1],
-            ]
-        )
-        return 2, np.vstack([np.zeros(2), u1])
+        u1 = np.array([model.target[0] - drift[1], model.target[1] - th[0] * drift[0] - th[1] * drift[1]])
+        return np.vstack([np.zeros(2), u1])
 
-    def parameter(history):
-        if history.horizon < 2:
-            return UNIDENTIFIABLE
-        states, inputs = _first_transitions(history)
+    def parameter(states, inputs):
         # Each transition constrains theta through its second coordinate:
         # x2(t+1) - u2(t) = th1*x1(t) + th2*x2(t).
         lhs = states[0:2, :]
@@ -187,18 +162,17 @@ def _affine_2d() -> BenchmarkSpec:
             return UNIDENTIFIABLE
         return np.linalg.solve(lhs, rhs)
 
-    return BenchmarkSpec(
-        "affine_2d",
-        model,
-        InputSequence(0, [[1.0, 0.0], [0.0, 0.0]]),
-        SynthesisBounds(3, 0.75),
-        BenchmarkOracle(
-            2,
-            deadbeat,
-            parameter,
-            lambda x0, u_seq, th: _stacked_param_jacobian(model, deriv, x0, u_seq, th),
-            lambda x, block, th: _terminal_input_jacobian(model, deriv, x, block, th),
+    return _spec(
+        name="affine_2d", model=model,
+        deriv=StepDerivatives(
+            wrt_state=lambda x, u, th: np.array([[0.0, 1.0], [th[0], th[1]]]),
+            wrt_input=lambda x, u, th: np.eye(2),
+            wrt_param=lambda x, u, th: np.array([[0.0, 0.0], [x[0], x[1]]]),
         ),
+        deadbeat=deadbeat,
+        parameter=parameter,
+        excitation=InputSequence(0, [[1.0, 0.0], [0.0, 0.0]]), bounds=SynthesisBounds(3, 0.75),
+        deadbeat_horizon=2, min_history=2,
     )
 
 
@@ -207,24 +181,14 @@ def _bilinear_scalar() -> BenchmarkSpec:
         return np.array([th[0] * x[0] + (1.0 + th[1] * x[0]) * u[0]])
 
     model = PlantModel(1, 1, 2, f, [[0.5, 1.0], [0.0, 0.4]], [0.0])
-    deriv = StepDerivatives(
-        wrt_state=lambda x, u, th: np.array([[th[0] + th[1] * u[0]]]),
-        wrt_input=lambda x, u, th: np.array([[1.0 + th[1] * x[0]]]),
-        wrt_param=lambda x, u, th: np.array([[x[0], x[0] * u[0]]]),
-    )
 
     def deadbeat(x, th):
-        x = np.atleast_1d(np.asarray(x, float))
-        th = np.atleast_1d(np.asarray(th, float))
         denom = 1.0 + th[1] * x[0]
         if abs(denom) < 1e-12:
             raise SingularInput(f"input gain vanishes at state {x[0]}")
-        return 1, np.array([[(model.target[0] - th[0] * x[0]) / denom]])
+        return np.array([[(model.target[0] - th[0] * x[0]) / denom]])
 
-    def parameter(history):
-        if history.horizon < 2:
-            return UNIDENTIFIABLE
-        states, inputs = _first_transitions(history)
+    def parameter(states, inputs):
         # Transition t constrains theta via x(t+1) - u(t) = th1*x(t) + th2*x(t)*u(t);
         # pick the best-conditioned pair of transitions.
         rows = np.column_stack([states[:-1, 0], states[:-1, 0] * inputs[:, 0]])
@@ -244,18 +208,17 @@ def _bilinear_scalar() -> BenchmarkSpec:
         i, j = best
         return np.linalg.solve(rows[[i, j]], rhs_all[[i, j]])
 
-    return BenchmarkSpec(
-        "bilinear_scalar",
-        model,
-        InputSequence(0, [[0.0], [0.5]]),
-        SynthesisBounds(2, 2.0),
-        BenchmarkOracle(
-            1,
-            deadbeat,
-            parameter,
-            lambda x0, u_seq, th: _stacked_param_jacobian(model, deriv, x0, u_seq, th),
-            lambda x, block, th: _terminal_input_jacobian(model, deriv, x, block, th),
+    return _spec(
+        name="bilinear_scalar", model=model,
+        deriv=StepDerivatives(
+            wrt_state=lambda x, u, th: np.array([[th[0] + th[1] * u[0]]]),
+            wrt_input=lambda x, u, th: np.array([[1.0 + th[1] * x[0]]]),
+            wrt_param=lambda x, u, th: np.array([[x[0], x[0] * u[0]]]),
         ),
+        deadbeat=deadbeat,
+        parameter=parameter,
+        excitation=InputSequence(0, [[0.0], [0.5]]), bounds=SynthesisBounds(2, 2.0),
+        deadbeat_horizon=1, min_history=2,
     )
 
 

@@ -26,9 +26,9 @@ from .plant import (
     RunFailure,
     StateSequence,
     _vector,
+    excitation_rank_check,
     jacobian_theta,
     param_grid,
-    smallest_singular_value,
     stacked_map,
 )
 
@@ -188,11 +188,7 @@ def identifiability_margin(model: PlantModel, x0, u_exc: InputSequence, grid: in
     column rank."""
     if grid < 2:
         raise ValueError("grid must be at least 2 points per axis")
-    margin = np.inf
-    count = 0
-    for theta in param_grid(model, grid):
-        jac = jacobian_theta(model, x0, u_exc, theta)
-        margin = min(margin, smallest_singular_value(jac, model.param_dim))
-        count += 1
+    samples = [(x0, theta) for theta in param_grid(model, grid)]
+    margin = excitation_rank_check(model, u_exc, samples).min_singular_value
     spacings = (model.param_upper - model.param_lower) / (grid - 1)
-    return IdentifiabilityReport(float(margin), float(0.5 * np.min(spacings)), count)
+    return IdentifiabilityReport(margin, float(0.5 * np.min(spacings)), len(samples))

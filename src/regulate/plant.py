@@ -415,12 +415,6 @@ def numeric_rank(matrix, rel_tol: float = 1e-8) -> int:
     return _rank_and_sigma(matrix, 1, rel_tol)[0]
 
 
-def smallest_singular_value(matrix, n_cols: int) -> float:
-    """The n_cols-th singular value; 0 when the matrix has fewer rows than
-    columns or is not finite."""
-    return _rank_and_sigma(matrix, n_cols)[1]
-
-
 @dataclass(frozen=True)
 class ExcitationReport:
     """Outcome of the identifiability rank check over a set of (state, theta) samples."""

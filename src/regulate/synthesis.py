@@ -109,11 +109,11 @@ def synthesize(
         for s in starts:
             run = box_gauss_newton(res, jac, s, lower, upper, tol)
             if run.residual_norm < tol:
-                winners.append(run.x)
+                winners.append(run)
         if winners:
-            u_best = min(winners, key=lambda u: float(np.linalg.norm(u)))
-            x_end = block_end(u_best)
-            return ControlPlan(horizon, block_of(u_best), float(np.linalg.norm(x_end - model.target)))
+            # A run's residual_norm is ||res(run.x)||: the plan's predicted error.
+            best = min(winners, key=lambda run: float(np.linalg.norm(run.x)))
+            return ControlPlan(horizon, block_of(best.x), best.residual_norm)
     raise Infeasible(
         f"no block of horizon <= {bounds.max_horizon} with amplitude <= {rho} "
         f"reaches the target within {tol}"

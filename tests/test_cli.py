@@ -59,6 +59,15 @@ def read_csv(path):
         return list(csv.reader(handle))
 
 
+def run_cli_process(command, config_path, *args):
+    """Exit code of the CLI run in a separate interpreter: its stderr shows
+    what a user sees, which the test runner's warning capture would hide."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONWARNINGS", None)
+    argv = [sys.executable, "-m", "regulate.cli", command, "--config", str(config_path), *args]
+    return subprocess.run(argv, env=env, check=False).returncode
+
+
 class TestLoadConfig:
     def test_minimal_exact_config_gets_defaults(self, tmp_path):
         path = write_config(tmp_path, {"model": "scalar_linear", "theta_true": [0.8], "x0": [1.0]})
@@ -291,21 +300,32 @@ class TestMain:
 
     def test_overflowing_run_prints_no_runtime_warning(self, tmp_path, capfd):
         # From x0 = 1e308 the run's error, the plant and the estimator's
-        # stencils overflow; the run says only why it stopped. A separate
-        # interpreter shows what a user sees on stderr, which the test
-        # runner's own warning capture would otherwise hide.
+        # stencils overflow; the run says only why it stopped, and verify and
+        # check-excitation only their verdicts.
         config_path = write_config(tmp_path, dict(EXACT_SCALAR, x0=[1e308], algorithm="inexact"))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-        env.pop("PYTHONWARNINGS", None)
-        command = [sys.executable, "-m", "regulate.cli", "run", "--config", str(config_path),
-                   "--out", str(tmp_path / "out")]
-        assert subprocess.run(command, env=env, check=False).returncode == 3
+        out = str(tmp_path / "out")
+        assert run_cli_process("run", config_path, "--out", out) == 3
         captured = capfd.readouterr()
         assert captured.out == ""
         assert captured.err == (
             "solver failed: best residual inf above tolerance 5.000e-01 "
             "after 3 iterations over all starts\n"
         )
+        assert run_cli_process("verify", config_path, "--out", out) == 0
+        assert capfd.readouterr() == ("replay ok\n", "")
+        assert run_cli_process("check-excitation", config_path) == 3
+        assert capfd.readouterr().err == ""
+
+    def test_log_holding_inf_replays(self, tmp_path, capfd):
+        # With theta 2 the logged state itself overflows to inf; the replay
+        # reproduces it exactly, so verify calls it a match, without a warning.
+        config_path = write_config(tmp_path, dict(EXACT_SCALAR, theta_true=[2.0], x0=[1e308]))
+        out = tmp_path / "out"
+        assert run_cli_process("run", config_path, "--out", str(out)) == 3
+        assert read_csv(out / "trajectory.csv")[-1][1] == "inf"
+        capfd.readouterr()
+        assert run_cli_process("verify", config_path, "--out", str(out)) == 0
+        assert capfd.readouterr() == ("replay ok\n", "")
 
     def test_diverged_run_summary_is_strict_json(self, tmp_path):
         config_path = write_config(tmp_path, dict(EXACT_SCALAR, x0=[1e308]))
@@ -528,13 +548,13 @@ def configs(draw):
 @given(config=configs())
 def test_exit_code_contract(config):
     """Every config exits 0, 2 or 3 without a traceback, and the logs of a run
-    that ended with 0 or 2 replay."""
+    replay whenever it wrote them."""
     with tempfile.TemporaryDirectory() as workdir, np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore")
         config_path = write_config(Path(workdir), config)
         out = str(Path(workdir) / "out")
         code = main(["run", "--config", str(config_path), "--out", out])
         assert code in (0, 2, 3)
-        if code in (0, 2):
+        if code in (0, 2) or (Path(out) / "trajectory.csv").exists():
             assert main(["verify", "--config", str(config_path), "--out", out]) == 0
         assert main(["check-excitation", "--config", str(config_path)]) in (0, 3)

@@ -19,7 +19,7 @@ from regulate import (
     step,
     terminal_map,
 )
-from regulate.plant import REPLAY_MEMO_SIZE, as_inputs, block_end_map, fd_jacobian, replay, smallest_singular_value
+from regulate.plant import REPLAY_MEMO_SIZE, as_inputs, block_end_map, fd_jacobian, replay
 
 SCALAR = get_model("scalar_linear").model
 AFFINE = get_model("affine_2d").model
@@ -382,7 +382,7 @@ class TestRankChecks:
         for x, th in samples:
             analytic = spec.oracle.stacked_jacobian(x, spec.excitation, th)
             assert numeric_rank(analytic) == 2
-            assert smallest_singular_value(analytic, 2) > 1e-8
+            assert np.linalg.svd(analytic, compute_uv=False)[1] > 1e-8
 
     def test_one_svd_per_sample(self, monkeypatch):
         # The rank and the smallest singular value come from the same SVD.
@@ -394,7 +394,8 @@ class TestRankChecks:
         report = excitation_rank_check(spec.model, spec.excitation, samples)
         assert len(calls) == len(samples)
         monkeypatch.setattr(np.linalg, "svd", svd)
-        sigmas = [smallest_singular_value(jacobian_theta(spec.model, x, spec.excitation, th), 2) for x, th in samples]
+        jacobians = [jacobian_theta(spec.model, x, spec.excitation, th) for x, th in samples]
+        sigmas = [np.linalg.svd(m, compute_uv=False)[1] for m in jacobians]
         assert report.min_singular_value == min(sigmas)
 
     def test_controllability_scalar(self):

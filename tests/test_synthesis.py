@@ -240,6 +240,29 @@ class TestLeanSynthesis:
                 outcomes.append(isinstance(ref, str))
         assert outcomes[-1] and not all(outcomes)
 
+    def test_no_block_is_stepped_outside_gauss_newton(self, monkeypatch):
+        # The plan's predicted error is the winning run's residual norm, so
+        # every transition happens inside a Gauss-Newton evaluation.
+        model, calls = counting(SCALAR_SPEC.model)
+        inside = []
+
+        def counted(handle):
+            def evaluate(u_flat):
+                before = len(calls)
+                out = handle(u_flat)
+                inside.append(len(calls) - before)
+                return out
+
+            return evaluate
+
+        gauss_newton = synthesis.box_gauss_newton
+        monkeypatch.setattr(
+            synthesis, "box_gauss_newton", lambda res, jac, *args: gauss_newton(counted(res), counted(jac), *args)
+        )
+        plan = synthesize(model, blank_history(model, [1.0]), [0.8], SynthesisBounds(1, 4.0), tol=1e-9)
+        assert plan.horizon == 1
+        assert len(calls) == sum(inside) > 0
+
     def test_malformed_second_step_still_raises(self):
         # Well-formed from x < 1.5; the first step lands at 2 + u, so only
         # the second step of a two-step block is malformed. Horizon 1 cannot
