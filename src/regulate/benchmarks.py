@@ -75,19 +75,25 @@ class BenchmarkSpec:
 
 def _forward_sensitivities(model: PlantModel, deriv: StepDerivatives, x, u_seq: InputSequence, theta):
     """Exact chain-rule sensitivities along u_seq from x: the stacked states' by
-    theta, and the terminal state's by the flattened inputs."""
+    theta, and the terminal state's by the flattened inputs. Each step's state
+    and input Jacobians (A, B) are kept for one sweep back, in which input t's
+    piece is A(T-1) ... A(t+1) B(t): O(T) products in all."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     sens = np.zeros((model.state_dim, model.param_dim))
-    rows, pieces = [], []
+    rows, steps = [], []
     for u in u_seq.inputs:
         a = deriv.wrt_state(x, u, theta)
         sens = a @ sens + deriv.wrt_param(x, u, theta)
         rows.append(sens)
-        pieces = [a @ piece for piece in pieces] + [deriv.wrt_input(x, u, theta)]
+        steps.append((a, deriv.wrt_input(x, u, theta)))
         x = step(model, x, u, theta)
+    pieces, carry = [], np.eye(model.state_dim)
+    for a, b in reversed(steps):
+        pieces.append(carry @ b)
+        carry = carry @ a
     stacked = np.vstack(rows) if rows else np.zeros((0, model.param_dim))
-    return stacked, np.hstack(pieces) if pieces else np.zeros((model.state_dim, 0))
+    return stacked, np.hstack(pieces[::-1]) if pieces else np.zeros((model.state_dim, 0))
 
 
 def _spec(*, name, model, deriv, deadbeat, parameter, excitation, bounds, deadbeat_horizon, min_history):

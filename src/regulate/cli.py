@@ -85,7 +85,8 @@ _NUMBERS = {
                            "must satisfy 0<beta<1")),
     "mu0": (float, 0, None),
     "kappa0": (float, 0, None),
-    "eps_fin": (float, 0, None),
+    "eps_fin": (float, 0, (lambda eps_fin, algorithm: algorithm != "inexact" or 0.5 * eps_fin > 0,
+                           "must be large enough that its half is positive")),
     "n_max": (int, 1, None),
     # The synthesis draws its starts from [-rho_max, rho_max].
     "rho_max": (float, 0, (lambda rho_max, _: math.isfinite(2.0 * rho_max),
@@ -337,8 +338,8 @@ def run_experiment(config: ExperimentConfig) -> int:
     return code
 
 
-def replay_verify(trajectory_path, config: ExperimentConfig, tol: float = 1e-12) -> bool:
-    """Re-simulate the logged inputs under theta_true and compare against the log."""
+def replay_verify(trajectory_path, config: ExperimentConfig) -> bool:
+    """Re-simulate the logged inputs under theta_true and compare against the log to 1e-12."""
     spec, _, _ = _materialize(config)
     model = spec.model
     path = Path(trajectory_path)
@@ -371,7 +372,7 @@ def replay_verify(trajectory_path, config: ExperimentConfig, tol: float = 1e-12)
         ).states
     if replayed.shape != logged.shape:
         return False
-    return bool(np.isclose(replayed, logged, rtol=0.0, atol=tol, equal_nan=True).all())
+    return bool(np.isclose(replayed, logged, rtol=0.0, atol=1e-12, equal_nan=True).all())
 
 
 def check_excitation(config: ExperimentConfig) -> int:

@@ -39,8 +39,9 @@ MULTISTART_GRID = 3
 @dataclass(frozen=True)
 class ObservationHistory:
     """Known initial state, the inputs applied from t=0, and the states observed
-    at t=1, ..., T in response. Histories grow append-only across control blocks.
-    ``applied_inputs`` is kept recorded: a read-only copy with a replay memo."""
+    at t=1, ..., T in response. A run builds one per control block from its whole
+    trajectory, and grows none in place. ``applied_inputs`` is kept recorded: a
+    read-only copy with a replay memo."""
 
     x0: np.ndarray
     applied_inputs: InputSequence
@@ -75,18 +76,6 @@ class ObservationHistory:
             InputSequence.empty(input_dim, start_time=0),
             StateSequence(1, np.zeros((0, state_dim))),
         )
-
-    def extended(self, block: InputSequence, new_states: StateSequence) -> "ObservationHistory":
-        if block.start_time != self.horizon:
-            raise ValueError(f"block must start at time {self.horizon}")
-        if len(block) != len(new_states):
-            raise ValueError("one observed state per new input required")
-        inputs = self.applied_inputs.followed_by(block)
-        if len(self.observed_states) == 0:
-            states = StateSequence(1, new_states.states)
-        else:
-            states = StateSequence(1, np.vstack([self.observed_states.states, new_states.states]))
-        return ObservationHistory(self.x0, inputs, states)
 
 
 @dataclass(frozen=True)

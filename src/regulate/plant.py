@@ -155,18 +155,6 @@ class InputSequence:
     def empty(cls, input_dim: int, start_time: int = 0) -> "InputSequence":
         return cls(start_time, np.zeros((0, input_dim)))
 
-    def followed_by(self, other: "InputSequence") -> "InputSequence":
-        if other.start_time != self.start_time + len(self):
-            raise ValueError(
-                f"cannot concatenate: expected start {self.start_time + len(self)}, "
-                f"got {other.start_time}"
-            )
-        if len(self) == 0:
-            return other
-        if len(other) == 0:
-            return self
-        return InputSequence(self.start_time, np.vstack([self.inputs, other.inputs]))
-
 
 @dataclass(frozen=True)
 class StateSequence:
@@ -395,8 +383,8 @@ def jacobian_input(model: PlantModel, x, block: InputSequence, theta) -> np.ndar
     return fd_jacobian(block_end_map(model, x, theta, len(block)), block.flat)
 
 
-def _rank_and_sigma(matrix, n: int, rel_tol: float = 1e-8) -> tuple:
-    """From one SVD: the number of singular values above rel_tol times the
+def _rank_and_sigma(matrix, n: int) -> tuple:
+    """From one SVD: the number of singular values above 1e-8 times the
     largest one, and the n-th singular value (0 when there are fewer). Both are 0
     for an empty matrix and a non-finite one, such as the Jacobian of an
     overflowing replay."""
@@ -404,15 +392,13 @@ def _rank_and_sigma(matrix, n: int, rel_tol: float = 1e-8) -> tuple:
     if matrix.size == 0 or not np.all(np.isfinite(matrix)):
         return 0, 0.0
     sv = np.linalg.svd(matrix, compute_uv=False)
-    return int(np.sum(sv > rel_tol * sv[0])), (float(sv[n - 1]) if sv.size >= n else 0.0)
+    return int(np.sum(sv > 1e-8 * sv[0])), (float(sv[n - 1]) if sv.size >= n else 0.0)
 
 
-def numeric_rank(matrix, rel_tol: float = 1e-8) -> int:
-    """Count singular values above rel_tol times the largest one (0 for the zero
+def numeric_rank(matrix) -> int:
+    """Count singular values above 1e-8 times the largest one (0 for the zero
     matrix, and for a non-finite one)."""
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError("rel_tol must lie in (0, 1)")
-    return _rank_and_sigma(matrix, 1, rel_tol)[0]
+    return _rank_and_sigma(matrix, 1)[0]
 
 
 @dataclass(frozen=True)
@@ -420,7 +406,6 @@ class ExcitationReport:
     """Outcome of the identifiability rank check over a set of (state, theta) samples."""
 
     passed: bool
-    worst_sample: tuple
     min_singular_value: float
 
 
@@ -433,16 +418,12 @@ def excitation_rank_check(model: PlantModel, u_exc: InputSequence, samples: Sequ
     if not samples:
         raise ValueError("samples must be nonempty")
     passed = True
-    worst = samples[0]
     worst_sigma = np.inf
     for x0, theta in samples:
         rank, sigma = _rank_and_sigma(jacobian_theta(model, x0, u_exc, theta), model.param_dim)
-        if rank != model.param_dim:
-            passed = False
-        if sigma < worst_sigma:
-            worst_sigma = sigma
-            worst = (x0, theta)
-    return ExcitationReport(passed, worst, float(worst_sigma))
+        passed = passed and rank == model.param_dim
+        worst_sigma = min(worst_sigma, sigma)
+    return ExcitationReport(passed, float(worst_sigma))
 
 
 def controllability_rank_check(model: PlantModel, x, theta, block: InputSequence) -> bool:

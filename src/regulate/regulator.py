@@ -3,16 +3,18 @@
 Both run modes are thin wrappers around one block loop: apply an excitation
 signal, then loop over control blocks, re-estimating the parameter from the
 whole past trajectory and synthesizing a block that drives the prediction to
-the target. The modes hand the loop only what differs between them. The exact
-mode solves both subproblems to a fixed tight tolerance and applies every
-block. The inexact mode runs the shrinking-tolerance schedule: per block the
-estimation tolerance is contracted and the sensitivity multiplier expanded by
-the same factor, and the block is only applied once a conservative
-sensitivity-ball check confirms that every parameter hypothesis near the
-estimate predicts a terminal state inside half the termination ball. That
-check samples ``PROBE_COUNT`` hypotheses and demands a margin of ``SAFETY`` on
-its Lipschitz bound; it fails at once, before any probe, when the estimate's
-own Jacobian already breaks that bound, as most failing checks do.
+the target. The loop alone grows that trajectory, and builds each block's
+observation history anew from it. The modes hand the loop only what differs
+between them. The exact mode solves both subproblems to a fixed tight
+tolerance and applies every block. The inexact mode runs the
+shrinking-tolerance schedule: per block the estimation tolerance is
+contracted and the sensitivity multiplier expanded by the same factor, and
+the block is only applied once a conservative sensitivity-ball check confirms
+that every parameter hypothesis near the estimate predicts a terminal state
+inside half the termination ball. That check samples ``PROBE_COUNT``
+hypotheses and demands a margin of ``SAFETY`` on its Lipschitz bound; it
+fails at once, before any probe, when the estimate's own Jacobian already
+breaks that bound, as most failing checks do.
 
 Every way a run can stop short is a ``RunFailure`` that carries the block it
 stopped in and the log up to there: a safety cap raises a ``RegulatorError``,
@@ -21,6 +23,7 @@ a subsolver a ``NotConverged`` or an ``Infeasible``.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -65,6 +68,8 @@ class RegulatorSchedule:
         for name in ("mu", "kappa", "eps_fin"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        if not 0.5 * self.eps_fin > 0:
+            raise ValueError("eps_fin must be large enough that its half is positive")
 
 
 @dataclass(frozen=True)
@@ -181,54 +186,6 @@ def inclusion_check(
     return lipschitz * radius * SAFETY <= bound
 
 
-class _RunLog:
-    """The true-plant trajectory, kept as the history the estimator reads, and
-    the block records."""
-
-    def __init__(self, model: PlantModel, theta_true, x0, excitation: InputSequence):
-        self.model = model
-        self.theta_true = np.asarray(theta_true, dtype=float)
-        states = simulate(model, x0, excitation, theta_true).states
-        # The history records its own copy of the caller's excitation array.
-        self.history = ObservationHistory(states[0], excitation, StateSequence(1, states[1:]))
-        self.x = states[-1]
-        self.blocks = []
-
-    @property
-    def error(self) -> float:
-        return float(np.linalg.norm(self.x - self.model.target))
-
-    def apply(self, block: InputSequence) -> np.ndarray:
-        states = simulate(self.model, self.x, block, self.theta_true).states
-        self.history = self.history.extended(block, StateSequence(block.start_time + 1, states[1:]))
-        self.x = states[-1]
-        return self.x
-
-    def outcome(self, terminated: bool) -> RunOutcome:
-        history = self.history
-        return RunOutcome(
-            terminated,
-            tuple(self.blocks),
-            StateSequence(0, np.vstack([history.x0, history.observed_states.states])),
-            # The read-only inputs without the history's replay memo, which a
-            # failure's partial outcome would otherwise keep alive.
-            InputSequence(0, history.applied_inputs.inputs),
-            self.error,
-        )
-
-
-def _prepare(model, theta_true, x0, u_exc):
-    excitation = as_inputs(u_exc, model.input_dim, start_time=0)
-    report = excitation_rank_check(model, excitation, [(np.asarray(x0, float), np.asarray(theta_true, float))])
-    if not report.passed:
-        warnings.warn(
-            "excitation fails the identifiability rank check at the initial state; "
-            "parameter estimates may be ambiguous",
-            stacklevel=4,
-        )
-    return _RunLog(model, theta_true, x0, excitation)
-
-
 def _run_blocks(model, theta_true, x0, u_exc, bounds_fn, solver, max_blocks, *, done, synth_tol,
                 attempts, accept) -> RunOutcome:
     """The block loop of both modes, which pass what differs between them.
@@ -236,24 +193,51 @@ def _run_blocks(model, theta_true, x0, u_exc, bounds_fn, solver, max_blocks, *, 
     ``done(error)`` tests for termination and ``synth_tol`` is the synthesis
     tolerance. ``attempts(last)`` yields (estimation tolerance, mu, kappa) for
     each attempt at the next block, given the last applied block's record (None
-    before the first); mu and kappa are logged. ``accept(history, theta, plan,
-    mu, kappa, seed_rng)`` decides whether an attempt's plan is applied. A block
-    whose attempts run out raises MaxInnerRetriesExceeded.
+    before the first), and returns why they ran out; mu and kappa are logged.
+    ``accept(history, theta, plan, mu, kappa, seed_rng)`` decides whether an
+    attempt's plan is applied. A block whose attempts run out raises
+    MaxInnerRetriesExceeded with their reason.
     """
     # A state or a hypothesis that diverges overflows to inf or nan, which the
     # run's error and the estimator's residuals carry on purpose (an infinite
     # residual loses every comparison); numpy is told so once per run.
     with np.errstate(over="ignore", invalid="ignore"):
-        log = _prepare(model, theta_true, x0, u_exc)
+        excitation = as_inputs(u_exc, model.input_dim, start_time=0)
+        truth = [(np.asarray(x0, float), np.asarray(theta_true, float))]
+        if not excitation_rank_check(model, excitation, truth).passed:
+            warnings.warn(
+                "excitation fails the identifiability rank check at the initial state; "
+                "parameter estimates may be ambiguous",
+                stacklevel=3,
+            )
+        # The true plant's states x(0), ..., x(T); the history records its own
+        # copy of the caller's excitation array.
+        states = simulate(model, x0, excitation, theta_true).states
+        history = ObservationHistory(states[0], excitation, StateSequence(1, states[1:]))
+        blocks = []
+
+        def error():
+            return float(np.linalg.norm(states[-1] - model.target))
+
+        def outcome(terminated):
+            # The read-only inputs without the history's replay memo, which a
+            # failure's partial outcome would otherwise keep alive.
+            inputs = InputSequence(0, history.applied_inputs.inputs)
+            return RunOutcome(terminated, tuple(blocks), StateSequence(0, states), inputs, error())
+
         seed_rng = np.random.default_rng(solver.seed)
         theta_guess = 0.5 * (model.param_lower + model.param_upper)
-        while not done(log.error):
-            k = len(log.blocks) + 1
+        while not done(error()):
+            k = len(blocks) + 1
             if k > max_blocks:
-                raise MaxBlocksExceeded(f"{max_blocks} blocks without termination", log.outcome(False))
-            history = log.history
-            bounds_k = bounds_fn(log.x)
-            for retries, (tol, mu, kappa) in enumerate(attempts(log.blocks[-1] if log.blocks else None)):
+                raise MaxBlocksExceeded(f"{max_blocks} blocks without termination", outcome(False))
+            bounds_k = bounds_fn(states[-1])
+            tries = iter(attempts(blocks[-1] if blocks else None))
+            for retries in itertools.count():
+                try:
+                    tol, mu, kappa = next(tries)
+                except StopIteration as stop:
+                    raise MaxInnerRetriesExceeded(f"{stop.value} in block {k}", outcome(False)) from None
                 try:
                     est = estimate(model, history, theta_guess, tol)
                     plan = synthesize(
@@ -261,23 +245,22 @@ def _run_blocks(model, theta_true, x0, u_exc, bounds_fn, solver, max_blocks, *, 
                     )
                 except RunFailure as err:
                     err.block_index = k
-                    err.partial_outcome = log.outcome(False)
+                    err.partial_outcome = outcome(False)
                     raise
                 theta_guess = est.theta
                 if accept(history, est.theta, plan, mu, kappa, seed_rng):
                     break
-            else:
-                raise MaxInnerRetriesExceeded(
-                    f"inclusion check failed {retries + 1} times in block {k}", log.outcome(False)
-                )
-            x_end = log.apply(plan.block)
-            log.blocks.append(
+            landed = simulate(model, states[-1], plan.block, theta_true).states
+            blocks.append(
                 BlockRecord(
                     k, history.horizon, est.theta, mu, kappa, plan.horizon, plan.block,
-                    x_end, est.residual, retries,
+                    landed[-1], est.residual, retries,
                 )
             )
-        return log.outcome(True)
+            states = np.vstack([states, landed[1:]])
+            inputs = np.vstack([history.applied_inputs.inputs, plan.block.inputs])
+            history = ObservationHistory(states[0], InputSequence(0, inputs), StateSequence(1, states[1:]))
+        return outcome(True)
 
 
 def run_exact(
@@ -329,8 +312,9 @@ def run_inexact(
     current tolerance, synthesize a block whose predicted terminal error is
     below half the termination radius, and accept the block only when the
     sensitivity-ball inclusion check passes; on failure the tolerance is
-    contracted again (up to ``max_inner_retries``). Terminates once the
-    measured state enters the ``eps_fin`` ball around the target.
+    contracted again (up to ``max_inner_retries`` times, and never to 0).
+    Terminates once the measured state enters the ``eps_fin`` ball around the
+    target.
     """
     beta, eps_fin = schedule0.beta, schedule0.eps_fin
 
@@ -340,10 +324,13 @@ def run_inexact(
         # values replay bit-for-bit, and mu contracts again after every failed check.
         prev = last or schedule0
         mu, kappa = schedule_step(prev.mu, prev.kappa, beta)
-        yield mu, mu, kappa
-        for _ in range(max_inner_retries):
-            mu = beta * mu
+        for failed in itertools.count():
+            if mu == 0.0:  # the contraction underflowed: no tolerance is left
+                return f"the estimation tolerance underflowed to 0 after {failed} failed inclusion checks"
             yield mu, mu, kappa
+            if failed >= max_inner_retries:
+                return f"inclusion check failed {failed + 1} times"
+            mu = beta * mu
 
     def accept(history, theta, plan, mu, kappa, seed_rng):
         return inclusion_check(

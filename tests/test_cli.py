@@ -377,6 +377,23 @@ def test_non_finite_config_value(tmp_path, capsys, command, base, field, value):
     assert f"{field}: " in err and "finite" in err
 
 
+INEXACT_SCALAR = {"model": "scalar_linear", "theta_true": [0.8], "x0": [1.0], "algorithm": "inexact"}
+
+
+@pytest.mark.parametrize("field, value", [("mu0", 5e-324), ("beta", 5e-324), ("beta", 1e-300), ("eps_fin", 5e-324)])
+def test_underflowing_schedule(tmp_path, capsys, field, value):
+    # Each value is a positive double, but a contraction of mu (beta * mu) or
+    # the synthesis tolerance 0.5 * eps_fin rounds to 0.
+    config_path = write_config(tmp_path, dict(INEXACT_SCALAR, **{field: value}))
+    out = str(tmp_path / "out")
+    code = main(["run", "--config", str(config_path), "--out", out])
+    err = capsys.readouterr().err
+    assert code in (2, 3) and err.count("\n") == 1
+    if code == 2:
+        assert err.startswith("run stopped: the estimation tolerance underflowed to 0")
+        assert main(["verify", "--config", str(config_path), "--out", out]) == 0
+
+
 AFFINE = {"model": "affine_2d", "theta_true": [0.5, 0.5], "x0": [1.0, 0.0]}
 
 
@@ -480,7 +497,10 @@ class TestFileAndUsageErrors:
 
 
 # Values of the wrong kind or out of range, drawn in place of a valid field.
-ODD_VALUES = [None, True, False, "1", "abc", float("nan"), float("inf"), -float("inf"), -1, 0, -1e308, 1e308, TOO_LARGE]
+ODD_VALUES = [
+    None, True, False, "1", "abc", float("nan"), float("inf"), -float("inf"), -1, 0, -1e308, 1e308, TOO_LARGE,
+    5e-324, 1e-300,
+]
 # Counts keep their odd values small: a large max_blocks or max_inner_retries
 # makes a run longer, and a large n_max can make the synthesis search without end.
 ODD_COUNTS = [v for v in ODD_VALUES if v != 1e308]

@@ -21,7 +21,7 @@ from regulate import (
 )
 from regulate.estimator import residual_vector
 from regulate.gauss_newton import box_gauss_newton
-from regulate.plant import StateSequence, as_inputs
+from regulate.plant import InputSequence, StateSequence, as_inputs
 
 SCALAR = get_model("scalar_linear").model
 AFFINE = get_model("affine_2d").model
@@ -162,9 +162,12 @@ class TestReplayMemo:
         before = residual_vector(SCALAR, hist, [0.8]).copy()
         source[:] = 9.0
         assert np.array_equal(residual_vector(SCALAR, hist, [0.8]), before)
-        extended = hist.extended(as_inputs([[1.0]], 1, start_time=2), StateSequence(3, [[1.632]]))
-        assert not extended.applied_inputs.inputs.flags.writeable
-        assert extended.applied_inputs._replays == {}
+        # The next block's history, built as the run loop builds it.
+        inputs = np.vstack([hist.applied_inputs.inputs, [[1.0]]])
+        states = np.vstack([hist.observed_states.states, [[1.632]]])
+        longer = ObservationHistory(hist.x0, InputSequence(0, inputs), StateSequence(1, states))
+        assert not longer.applied_inputs.inputs.flags.writeable
+        assert longer.applied_inputs._replays == {}
 
     def test_each_theta_replays_the_history_at_most_once(self, monkeypatch):
         # One inner retry of the inexact loop, twice: estimate, synthesize and

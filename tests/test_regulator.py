@@ -221,6 +221,18 @@ class TestRunInexact:
             )
         assert not excinfo.value.partial_outcome.terminated
 
+    def test_underflowing_tolerance_stops_the_block(self):
+        # Half of mu = 5e-324 rounds to 0, so the first block gets no attempt.
+        with pytest.raises(MaxInnerRetriesExceeded, match="underflowed to 0") as excinfo:
+            run_inexact(
+                SCALAR.model, [0.8], [1.0], SCALAR.excitation,
+                RegulatorSchedule(0.5, 5e-324, 1.0, 1e-3),
+                bounds_fn=lambda x: SCALAR.bounds,
+            )
+        partial = excinfo.value.partial_outcome
+        assert not partial.terminated and partial.blocks == ()
+        assert len(partial.trajectory) == len(SCALAR.excitation) + 1
+
     def test_block_cap_zero(self):
         with pytest.raises(MaxBlocksExceeded):
             run_inexact(
@@ -250,3 +262,5 @@ class TestScheduleType:
             RegulatorSchedule(0.5, 0.0, 1.0, 1e-3)
         with pytest.raises(ValueError):
             RegulatorSchedule(0.5, 1.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="half"):
+            RegulatorSchedule(0.5, 1.0, 1.0, 5e-324)
