@@ -359,7 +359,9 @@ def replay_verify(trajectory_path, config: ExperimentConfig) -> bool:
         input_cells = row[1 + model.state_dim : 1 + model.state_dim + model.input_dim]
         try:
             states.append([float(v) for v in row[1 : 1 + model.state_dim]])
-            if all(cell != "" for cell in input_cells):
+            # Only the final time has no input, so only the last row may leave
+            # its input cells blank, and then all of them.
+            if number < len(rows) - 1 or any(cell != "" for cell in input_cells):
                 inputs.append([float(v) for v in input_cells])
         except ValueError as err:
             raise ParseError(f"{path}: row {number}: {err}") from None

@@ -4,12 +4,14 @@ Every run takes at most ``MAX_ITERS`` iterations; the estimator and the
 synthesis both use this one cap. The residual handle must be pure: a line
 search evaluates it once per distinct point, skipping a candidate equal to
 the current point or to the candidate just rejected, whose outcome is already
-known. Residual norms that overflow to inf are rejected without a
-``RuntimeWarning``.
+known. A residual norm that overflows, or that is not a number (a replay
+that reaches ``inf - inf``), counts as inf and so loses every comparison,
+without a ``RuntimeWarning``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +24,10 @@ MIN_STEP = 1e-12
 
 
 def _norm(r: np.ndarray) -> float:
-    """Euclidean norm; one that overflows is inf, without a warning."""
+    """Euclidean norm; one that overflows or is not a number is inf, without a warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.linalg.norm(r))
+        norm = float(np.linalg.norm(r))
+    return math.inf if math.isnan(norm) else norm
 
 
 @dataclass(frozen=True)

@@ -41,10 +41,10 @@ REPLAY_MEMO_SIZE = 16
 class RunFailure(RuntimeError):
     """A regulation run, or one of its subsolvers, stopped without reaching the target.
 
-    Inside a run, ``block_index`` is the block whose estimate or synthesis
-    failed (``None`` when a safety cap stopped the run) and ``partial_outcome``
-    is the run log up to the failure; both stay ``None`` for a subsolver
-    called on its own.
+    Inside a run, ``block_index`` is the block whose estimate, synthesis or
+    inclusion check failed (``None`` when a safety cap stopped the run) and
+    ``partial_outcome`` is the run log up to the failure; both stay ``None``
+    for a subsolver called on its own.
     """
 
     block_index = None

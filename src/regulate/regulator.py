@@ -9,16 +9,17 @@ between them. The exact mode solves both subproblems to a fixed tight
 tolerance and applies every block. The inexact mode runs the
 shrinking-tolerance schedule: per block the estimation tolerance is
 contracted and the sensitivity multiplier expanded by the same factor, and
-the block is only applied once a conservative sensitivity-ball check confirms
-that every parameter hypothesis near the estimate predicts a terminal state
-inside half the termination ball. That check samples ``PROBE_COUNT``
-hypotheses and demands a margin of ``SAFETY`` on its Lipschitz bound; it
-fails at once, before any probe, when the estimate's own Jacobian already
-breaks that bound, as most failing checks do.
+the loop applies the block only once a conservative sensitivity-ball check
+confirms that every parameter hypothesis near the estimate predicts a
+terminal state inside half the termination ball. That check samples
+``PROBE_COUNT`` hypotheses and demands a margin of ``SAFETY`` on its
+Lipschitz bound; it fails at once, before any probe, when the estimate's own
+Jacobian already breaks that bound, as most failing checks do.
 
-Every way a run can stop short is a ``RunFailure`` that carries the block it
-stopped in and the log up to there: a safety cap raises a ``RegulatorError``,
-a subsolver a ``NotConverged`` or an ``Infeasible``.
+Every way a run can stop short is a ``RunFailure``: a safety cap raises a
+``RegulatorError``, a subsolver a ``NotConverged`` or an ``Infeasible``. Each
+leaves the loop at one site, which gives it the log up to there and, unless
+it is a cap, the block it stopped in.
 """
 
 from __future__ import annotations
@@ -107,10 +108,6 @@ class RunOutcome:
 class RegulatorError(RunFailure):
     """Run aborted by a safety cap; ``partial_outcome`` holds the log so far."""
 
-    def __init__(self, message: str, partial_outcome: RunOutcome):
-        super().__init__(message)
-        self.partial_outcome = partial_outcome
-
 
 class MaxBlocksExceeded(RegulatorError):
     pass
@@ -187,16 +184,17 @@ def inclusion_check(
 
 
 def _run_blocks(model, theta_true, x0, u_exc, bounds_fn, solver, max_blocks, *, done, synth_tol,
-                attempts, accept) -> RunOutcome:
+                attempts) -> RunOutcome:
     """The block loop of both modes, which pass what differs between them.
 
     ``done(error)`` tests for termination and ``synth_tol`` is the synthesis
-    tolerance. ``attempts(last)`` yields (estimation tolerance, mu, kappa) for
-    each attempt at the next block, given the last applied block's record (None
-    before the first), and returns why they ran out; mu and kappa are logged.
-    ``accept(history, theta, plan, mu, kappa, seed_rng)`` decides whether an
-    attempt's plan is applied. A block whose attempts run out raises
-    MaxInnerRetriesExceeded with their reason.
+    tolerance and the inclusion check's bound. ``attempts(last)`` yields
+    (estimation tolerance, mu, kappa) for each attempt at the next block, given
+    the last applied block's record (None before the first), and raises
+    MaxInnerRetriesExceeded once they run out; mu and kappa are logged. An
+    attempt with mu None is applied at once, any other once the inclusion check
+    passes on the ball of radius kappa * mu. Every RunFailure leaves at one
+    site, which adds the log so far and, unless a cap raised it, the block.
     """
     # A state or a hypothesis that diverges overflows to inf or nan, which the
     # run's error and the estimator's residuals carry on purpose (an infinite
@@ -227,39 +225,37 @@ def _run_blocks(model, theta_true, x0, u_exc, bounds_fn, solver, max_blocks, *, 
 
         seed_rng = np.random.default_rng(solver.seed)
         theta_guess = 0.5 * (model.param_lower + model.param_upper)
-        while not done(error()):
-            k = len(blocks) + 1
-            if k > max_blocks:
-                raise MaxBlocksExceeded(f"{max_blocks} blocks without termination", outcome(False))
-            bounds_k = bounds_fn(states[-1])
-            tries = iter(attempts(blocks[-1] if blocks else None))
-            for retries in itertools.count():
-                try:
-                    tol, mu, kappa = next(tries)
-                except StopIteration as stop:
-                    raise MaxInnerRetriesExceeded(f"{stop.value} in block {k}", outcome(False)) from None
-                try:
+        try:
+            while not done(error()):
+                k = len(blocks) + 1
+                if k > max_blocks:
+                    raise MaxBlocksExceeded(f"{max_blocks} blocks without termination")
+                bounds_k = bounds_fn(states[-1])
+                for retries, (tol, mu, kappa) in enumerate(attempts(blocks[-1] if blocks else None)):
                     est = estimate(model, history, theta_guess, tol)
                     plan = synthesize(
                         model, history, est.theta, bounds_k, synth_tol, seed=int(seed_rng.integers(2**63))
                     )
-                except RunFailure as err:
-                    err.block_index = k
-                    err.partial_outcome = outcome(False)
-                    raise
-                theta_guess = est.theta
-                if accept(history, est.theta, plan, mu, kappa, seed_rng):
-                    break
-            landed = simulate(model, states[-1], plan.block, theta_true).states
-            blocks.append(
-                BlockRecord(
-                    k, history.horizon, est.theta, mu, kappa, plan.horizon, plan.block,
-                    landed[-1], est.residual, retries,
+                    theta_guess = est.theta
+                    if mu is None or inclusion_check(
+                        model, history, est.theta, plan, kappa * mu, synth_tol, seed=int(seed_rng.integers(2**63))
+                    ):
+                        break
+                landed = simulate(model, states[-1], plan.block, theta_true).states
+                blocks.append(
+                    BlockRecord(
+                        k, history.horizon, est.theta, mu, kappa, plan.horizon, plan.block,
+                        landed[-1], est.residual, retries,
+                    )
                 )
-            )
-            states = np.vstack([states, landed[1:]])
-            inputs = np.vstack([history.applied_inputs.inputs, plan.block.inputs])
-            history = ObservationHistory(states[0], InputSequence(0, inputs), StateSequence(1, states[1:]))
+                states = np.vstack([states, landed[1:]])
+                inputs = np.vstack([history.applied_inputs.inputs, plan.block.inputs])
+                history = ObservationHistory(states[0], InputSequence(0, inputs), StateSequence(1, states[1:]))
+        except RunFailure as err:
+            if not isinstance(err, RegulatorError):
+                err.block_index = len(blocks) + 1
+            err.partial_outcome = outcome(False)
+            raise
         return outcome(True)
 
 
@@ -289,7 +285,6 @@ def run_exact(
         done=lambda error: error <= tol_exact,
         synth_tol=tol_exact,
         attempts=lambda _last: [(tol_exact, None, None)],
-        accept=lambda *_: True,
     )
 
 
@@ -322,25 +317,21 @@ def run_inexact(
         # Step on from the last applied block's mu and kappa (the schedule's
         # before the first): kappa advances by one division per block so logged
         # values replay bit-for-bit, and mu contracts again after every failed check.
-        prev = last or schedule0
+        prev, k = (last, last.index + 1) if last else (schedule0, 1)
         mu, kappa = schedule_step(prev.mu, prev.kappa, beta)
         for failed in itertools.count():
             if mu == 0.0:  # the contraction underflowed: no tolerance is left
-                return f"the estimation tolerance underflowed to 0 after {failed} failed inclusion checks"
+                raise MaxInnerRetriesExceeded(
+                    f"the estimation tolerance underflowed to 0 after {failed} failed inclusion checks in block {k}"
+                )
             yield mu, mu, kappa
             if failed >= max_inner_retries:
-                return f"inclusion check failed {failed + 1} times"
+                raise MaxInnerRetriesExceeded(f"inclusion check failed {failed + 1} times in block {k}")
             mu = beta * mu
-
-    def accept(history, theta, plan, mu, kappa, seed_rng):
-        return inclusion_check(
-            model, history, theta, plan, kappa * mu, 0.5 * eps_fin, seed=int(seed_rng.integers(2**63))
-        )
 
     return _run_blocks(
         model, theta_true, x0, u_exc, bounds_fn, solver, max_blocks,
         done=lambda error: error < eps_fin,
         synth_tol=0.5 * eps_fin,
         attempts=attempts,
-        accept=accept,
     )

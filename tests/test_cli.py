@@ -271,16 +271,22 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "trajectory.csv" in err
 
-    @pytest.mark.parametrize("corrupt", ["non-numeric cell", "ragged row"])
+    @pytest.mark.parametrize("corrupt", ["non-numeric cell", "ragged row", "blank u_2 cell", "blank input cells"])
     def test_verify_on_corrupt_trajectory(self, tmp_path, capsys, corrupt):
-        config_path = write_config(tmp_path, EXACT_SCALAR)
+        # Only the last row may leave its input cells blank: a blank one at
+        # t = 0 is a malformed log, not a replay mismatch.
+        config_path = write_config(tmp_path, AFFINE if corrupt.startswith("blank") else EXACT_SCALAR)
         out = tmp_path / "out"
         assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
         rows = read_csv(out / "trajectory.csv")
         if corrupt == "non-numeric cell":
             rows[-1][1] = "abc"
-        else:
+        elif corrupt == "ragged row":
             rows[2] = rows[2][:-1]
+        elif corrupt == "blank u_2 cell":
+            rows[1][4] = ""
+        else:
+            rows[1][3:5] = ["", ""]
         with open(out / "trajectory.csv", "w", newline="", encoding="utf-8") as handle:
             csv.writer(handle, lineterminator="\n").writerows(rows)
         capsys.readouterr()
@@ -448,6 +454,18 @@ def test_overflowing_excitation(tmp_path, capsys, command):
         assert captured.err.startswith("solver failed:")
     else:
         assert "rank check: FAIL" in captured.out
+
+
+@pytest.mark.parametrize("algorithm", ["exact", "inexact"])
+def test_nan_residual_at_the_first_start(tmp_path, capsys, algorithm):
+    # From x0 = 1e300 the first estimate's replay under the box midpoint
+    # reaches inf - inf; its restart grid, which holds theta_true, must run.
+    config = {"model": "bilinear_scalar", "theta_true": [0.5, 0.0], "x0": [1e300], "algorithm": algorithm,
+              "excitation": [[2.0]] * 150 + [[-2.0], [2.0]] * 500}
+    config_path = write_config(tmp_path, config)
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", str(config_path), "--out", out]) == 0, capsys.readouterr().err
+    assert main(["verify", "--config", str(config_path), "--out", out]) == 0
 
 
 class TestFileAndUsageErrors:

@@ -390,7 +390,8 @@ def reference_prepare(model, theta_true, x0, u_exc):
 
 
 def reference_abort(err_cls, message, log):
-    err = err_cls(message, log.outcome(False))
+    err = err_cls(message)
+    err.partial_outcome = log.outcome(False)
     return err
 
 

@@ -146,6 +146,16 @@ class TestEstimate:
         assert result.converged
         assert_allclose(result.theta, [0.8], atol=1e-6)
 
+    def test_nan_residual_still_runs_the_restart_grid(self):
+        # From x0 = 1e300 the replay under the box midpoint reaches inf - inf,
+        # so its residual is nan; that must lose to every grid start, one of
+        # which is theta_true.
+        hist = make_history(BILINEAR, [1e300], [[2.0]] * 150 + [[-2.0], [2.0]] * 25, [0.5, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = estimate(BILINEAR, hist, 0.5 * (BILINEAR.param_lower + BILINEAR.param_upper), tol=1e-6)
+        assert result.converged and result.residual == 0.0
+        assert np.array_equal(result.theta, [0.5, 0.0])
+
     def test_invalid_arguments(self):
         hist = history_with_observations([1.0], [0.0], [0.8])
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import regulate.regulator
 from regulate import (
     ControlPlan,
     Infeasible,
@@ -232,6 +233,25 @@ class TestRunInexact:
         partial = excinfo.value.partial_outcome
         assert not partial.terminated and partial.blocks == ()
         assert len(partial.trajectory) == len(SCALAR.excitation) + 1
+
+    def test_failed_inclusion_check_carries_its_block_and_log(self, monkeypatch):
+        # A failure from the inclusion check leaves at the loop's one except site,
+        # like one from the estimate or the synthesis.
+        def fail(*_args, **_kwargs):
+            raise Infeasible("probe failed")
+
+        monkeypatch.setattr(regulate.regulator, "inclusion_check", fail)
+        with pytest.raises(Infeasible, match="probe failed") as excinfo:
+            run_inexact(
+                SCALAR.model, [0.8], [1.0], SCALAR.excitation,
+                RegulatorSchedule(0.5, 1.0, 1.0, 1e-3),
+                bounds_fn=lambda x: SCALAR.bounds,
+            )
+        assert excinfo.value.block_index == 1
+        partial = excinfo.value.partial_outcome
+        assert not partial.terminated and partial.blocks == ()
+        excited = simulate(SCALAR.model, [1.0], SCALAR.excitation, [0.8])
+        assert np.array_equal(partial.trajectory.states, excited.states)
 
     def test_block_cap_zero(self):
         with pytest.raises(MaxBlocksExceeded):

@@ -24,13 +24,20 @@ so far:
   median and the metric's bound, from the pairs where both runs succeeded;
   plus ``correct_all`` and the failed runs per side.
 
+The record names the code each side ran: ``parent_sha`` and ``change_sha``
+(the checkout's git HEAD, null outside a git repository) and ``src_sha256``,
+per side a SHA-256 over the sorted paths and bytes of the checkout's ``src/``
+tree (``__pycache__`` left out), which holds for uncommitted code too.
+
 A second call with the same label adds its pairs to the file, numbered after
-those of the same section and workload.
+those of the same section and workload. It is refused when either side's
+``src/`` digest differs from the file's, so one record never mixes code.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -54,6 +61,17 @@ def _git_sha(path: Path):
     except (OSError, subprocess.CalledProcessError):
         return None
     return out.stdout.strip()
+
+
+def _src_sha256(checkout: Path) -> str:
+    digest = hashlib.sha256()
+    src = checkout / "src"
+    files = sorted(p for p in src.rglob("*") if p.is_file() and "__pycache__" not in p.parts)
+    for path in files:
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(src).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def _directions() -> dict:
@@ -150,16 +168,21 @@ def main(argv=None) -> int:
         if not (path / "perfbench" / "run.py").is_file():
             parser.error(f"{side} checkout {path} has no perfbench/run.py")
 
+    digests = {side: _src_sha256(path) for side, path in dirs.items()}
     out_path = Path(f"BENCH_{args.label}.json")
     record = json.loads(out_path.read_text()) if out_path.exists() else {
         "label": args.label,
         "parent_sha": _git_sha(dirs["parent"]),
         "change_sha": _git_sha(dirs["change"]),
+        "src_sha256": digests,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": f"{platform.machine()} {platform.system()}, nproc={os.cpu_count()}",
         "runs": [],
     }
+    if record.get("src_sha256") != digests:
+        parser.error(f"{out_path} records src/ digests {record.get('src_sha256')}, "
+                     f"but these checkouts have {digests}")
     section = "pairs" + (f"_seed{args.seed}" if args.seed != 1 else "") + ("_traced" if args.trace else "")
     command = [sys.executable, "perfbench/run.py", "--workload", args.workload,
                "--seed", str(args.seed), "--seconds", f"{RUN_SECONDS:g}", "--trace", str(args.trace)]
