@@ -351,6 +351,8 @@ def replay_verify(trajectory_path, config: ExperimentConfig) -> bool:
     width = 1 + model.state_dim + model.input_dim + 1
     if not rows or len(rows[0]) != width:
         raise ParseError(f"{path}: unexpected column count")
+    if len(rows) < 2:
+        raise ParseError(f"{path}: no row after the header; the log must hold x(0)")
     states = []
     inputs = []
     for number, row in enumerate(rows[1:], start=1):
@@ -359,12 +361,14 @@ def replay_verify(trajectory_path, config: ExperimentConfig) -> bool:
         input_cells = row[1 + model.state_dim : 1 + model.state_dim + model.input_dim]
         try:
             states.append([float(v) for v in row[1 : 1 + model.state_dim]])
-            # Only the final time has no input, so only the last row may leave
-            # its input cells blank, and then all of them.
-            if number < len(rows) - 1 or any(cell != "" for cell in input_cells):
+            # Only the final time has no input: every other row holds all of
+            # its inputs, and the last row none of them.
+            if number < len(rows) - 1:
                 inputs.append([float(v) for v in input_cells])
         except ValueError as err:
             raise ParseError(f"{path}: row {number}: {err}") from None
+    if any(cell != "" for cell in input_cells):
+        raise ParseError(f"{path}: row {number}: the last row must leave its input cells blank")
     logged = np.asarray(states, dtype=float)
     # A run that overflowed logs inf and nan; its replay overflows the same way.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -426,9 +430,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Parsing reads the tree and changes nothing in it, so one build serves every call.
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         # An empty --out leaves the config's out_dir in place.
         config = load_config(args.config, seed=args.seed, out_dir=args.out or None)
         if args.command == "run":

@@ -68,15 +68,6 @@ class ObservationHistory:
     def observed_flat(self) -> np.ndarray:
         return self.observed_states.flat
 
-    @classmethod
-    def initial(cls, x0, input_dim: int, state_dim: int) -> "ObservationHistory":
-        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        return cls(
-            x0,
-            InputSequence.empty(input_dim, start_time=0),
-            StateSequence(1, np.zeros((0, state_dim))),
-        )
-
 
 @dataclass(frozen=True)
 class EstimateResult:
@@ -111,10 +102,6 @@ class NotConverged(RunFailure):
 def residual_vector(model: PlantModel, history: ObservationHistory, theta) -> np.ndarray:
     """Predicted-minus-observed stacked states under theta."""
     return stacked_map(model, history.x0, history.applied_inputs, theta) - history.observed_flat
-
-
-def residual_norm(model: PlantModel, history: ObservationHistory, theta) -> float:
-    return float(np.linalg.norm(residual_vector(model, history, theta)))
 
 
 def _lex_key(x: np.ndarray) -> tuple:

@@ -151,10 +151,6 @@ class InputSequence:
         object.__setattr__(seq, "_replays", OrderedDict())
         return seq
 
-    @classmethod
-    def empty(cls, input_dim: int, start_time: int = 0) -> "InputSequence":
-        return cls(start_time, np.zeros((0, input_dim)))
-
 
 @dataclass(frozen=True)
 class StateSequence:

@@ -8,8 +8,6 @@ running Gauss-Newton from ``MULTISTART_COUNT`` starts at each horizon.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .estimator import ObservationHistory
@@ -48,13 +46,6 @@ class ControlPlan:
     horizon: int
     block: InputSequence
     predicted_terminal_error: float
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    worst_case_horizon: int
-    worst_case_input_norm: float
-    all_reachable: bool
 
 
 def synthesize(
@@ -119,34 +110,3 @@ def synthesize(
         f"reaches the target within {tol}"
     )
 
-
-def feasibility_probe(
-    model: PlantModel,
-    x,
-    bounds: SynthesisBounds,
-    theta_samples: Sequence,
-    tol: float,
-    seed: int = 0,
-) -> FeasibilityReport:
-    """Empirical check that the bounds cover every sampled parameter from state x.
-
-    Synthesizes a block for each sample and reports the largest horizon and
-    input amplitude used; all_reachable is False when any sample is infeasible
-    under the bounds.
-    """
-    if not len(theta_samples):
-        raise ValueError("theta_samples must be nonempty")
-    blank = ObservationHistory.initial(x, model.input_dim, model.state_dim)
-    worst_horizon = 0
-    worst_amplitude = 0.0
-    all_ok = True
-    for i, theta in enumerate(theta_samples):
-        try:
-            plan = synthesize(model, blank, theta, bounds, tol, seed=seed + i)
-        except Infeasible:
-            all_ok = False
-            continue
-        worst_horizon = max(worst_horizon, plan.horizon)
-        if len(plan.block):
-            worst_amplitude = max(worst_amplitude, float(np.max(np.abs(plan.block.inputs))))
-    return FeasibilityReport(worst_horizon, worst_amplitude, all_ok)

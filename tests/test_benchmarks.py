@@ -19,7 +19,7 @@ from regulate import (
     synthesize,
 )
 from regulate.benchmarks import MODEL_NAMES
-from regulate.plant import StateSequence, as_inputs
+from regulate.plant import InputSequence, StateSequence, as_inputs
 
 
 def noise_free_history(model, x0, inputs, theta_true):
@@ -160,7 +160,11 @@ class TestOraclePipelineAgreement:
                 horizon, block = oracle_deadbeat(spec, x, theta)
                 plan = synthesize(
                     model,
-                    ObservationHistory.initial(x, model.input_dim, model.state_dim),
+                    ObservationHistory(
+                        x,
+                        InputSequence(0, np.zeros((0, model.input_dim))),
+                        StateSequence(1, np.zeros((0, model.state_dim))),
+                    ),
                     theta, spec.bounds, tol=1e-10, seed=5,
                 )
                 assert plan.horizon == horizon

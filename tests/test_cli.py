@@ -271,10 +271,14 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "trajectory.csv" in err
 
-    @pytest.mark.parametrize("corrupt", ["non-numeric cell", "ragged row", "blank u_2 cell", "blank input cells"])
+    @pytest.mark.parametrize(
+        "corrupt",
+        ["non-numeric cell", "ragged row", "blank u_2 cell", "blank input cells", "header only", "truncated"],
+    )
     def test_verify_on_corrupt_trajectory(self, tmp_path, capsys, corrupt):
-        # Only the last row may leave its input cells blank: a blank one at
-        # t = 0 is a malformed log, not a replay mismatch.
+        # Only the last row may leave its input cells blank, and it must: a
+        # blank one at t = 0, a log without x(0) or one cut before its final
+        # row is a malformed log, not a replay mismatch.
         config_path = write_config(tmp_path, AFFINE if corrupt.startswith("blank") else EXACT_SCALAR)
         out = tmp_path / "out"
         assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
@@ -285,8 +289,12 @@ class TestMain:
             rows[2] = rows[2][:-1]
         elif corrupt == "blank u_2 cell":
             rows[1][4] = ""
-        else:
+        elif corrupt == "blank input cells":
             rows[1][3:5] = ["", ""]
+        elif corrupt == "header only":
+            rows = rows[:1]
+        else:
+            rows = rows[:-1]
         with open(out / "trajectory.csv", "w", newline="", encoding="utf-8") as handle:
             csv.writer(handle, lineterminator="\n").writerows(rows)
         capsys.readouterr()
@@ -512,6 +520,16 @@ class TestFileAndUsageErrors:
             main(["run", "--help"])
         assert excinfo.value.code == 0
         assert "--config" in capsys.readouterr().out
+
+    def test_usage_error_then_valid_run(self, tmp_path, capsys):
+        # One parser serves every call in a process: a usage error leaves
+        # nothing behind for the next call.
+        assert "--config" in self.run_main(capsys, ["run", "--seed", "1"])
+        config_path = write_config(tmp_path, EXACT_SCALAR)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+        assert main(["verify", "--config", str(config_path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 # Values of the wrong kind or out of range, drawn in place of a valid field.

@@ -15,7 +15,6 @@ from regulate import (
     identifiability_margin,
     inclusion_check,
     jacobian_theta,
-    residual_norm,
     simulate,
     synthesize,
 )
@@ -44,18 +43,18 @@ def history_with_observations(x0, inputs, observed):
 class TestResidualNorm:
     def test_true_parameter_gives_zero(self):
         hist = make_history(SCALAR, [1.0], [0.5, -0.2], [0.8])
-        assert residual_norm(SCALAR, hist, [0.8]) <= 1e-12
+        assert np.linalg.norm(residual_vector(SCALAR, hist, [0.8])) <= 1e-12
 
     def test_hand_arithmetic(self):
         hist = history_with_observations([2.0], [0.0], [1.6])
-        assert_allclose(residual_norm(SCALAR, hist, [1.0]), 0.4, atol=1e-12)
+        assert_allclose(np.linalg.norm(residual_vector(SCALAR, hist, [1.0])), 0.4, atol=1e-12)
 
     def test_block_residual_is_prefix_of_extended_residual(self):
         theta_true = [0.7]
         short = make_history(SCALAR, [1.0], [0.5, -0.3], theta_true)
         long = make_history(SCALAR, [1.0], [0.5, -0.3, 0.1], theta_true)
         probe = [1.4]
-        r_short = residual_norm(SCALAR, short, probe)
+        r_short = np.linalg.norm(residual_vector(SCALAR, short, probe))
         r_long_vec = residual_vector(SCALAR, long, probe)
         assert_allclose(np.linalg.norm(r_long_vec[:2]), r_short, rtol=1e-12)
 
@@ -64,7 +63,7 @@ class TestResidualNorm:
         probe = [1.6]
         inputs = [0.5, -0.3, 0.1, 0.4, -0.2]
         values = [
-            residual_norm(SCALAR, make_history(SCALAR, [1.0], inputs[:k], theta_true), probe)
+            np.linalg.norm(residual_vector(SCALAR, make_history(SCALAR, [1.0], inputs[:k], theta_true), probe))
             for k in range(1, len(inputs) + 1)
         ]
         assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
@@ -244,5 +243,5 @@ class TestIdentifiabilityMargin:
             err = abs(theta_probe - 0.8)
             if err > report.radius:
                 continue
-            res = residual_norm(spec.model, hist, [theta_probe])
+            res = np.linalg.norm(residual_vector(spec.model, hist, [theta_probe]))
             assert err <= 1.05 * res / report.margin

@@ -55,7 +55,7 @@ class TestStep:
 
 class TestSimulate:
     def test_empty_inputs(self):
-        out = simulate(SCALAR, [1.0], InputSequence.empty(1), [0.8])
+        out = simulate(SCALAR, [1.0], InputSequence(0, np.zeros((0, 1))), [0.8])
         assert len(out) == 1
         assert_allclose(out.states, [[1.0]])
 
@@ -112,11 +112,11 @@ class TestSimulate:
 
     def test_empty_sequence_checks_only_the_initial_state(self):
         # No transition runs, so the input width and theta go unchecked.
-        out = simulate(AFFINE, [1.0, 2.0], InputSequence.empty(1, start_time=4), [9.0])
+        out = simulate(AFFINE, [1.0, 2.0], InputSequence(4, np.zeros((0, 1))), [9.0])
         assert out.start_time == 4
         assert np.array_equal(out.states, [[1.0, 2.0]])
         with pytest.raises(DimensionMismatch):
-            simulate(AFFINE, [1.0], InputSequence.empty(2), [0.5, 0.25])
+            simulate(AFFINE, [1.0], InputSequence(0, np.zeros((0, 2))), [0.5, 0.25])
 
 
 def bits(arr):
@@ -267,7 +267,7 @@ class TestTerminalMap:
     def test_empty_block_is_last_stacked_entry(self):
         hist = seq([0.5])
         last = stacked_map(SCALAR, [1.0], hist, [0.8])[-1]
-        out = terminal_map(SCALAR, [1.0], hist, InputSequence.empty(1, start_time=1), [0.8])
+        out = terminal_map(SCALAR, [1.0], hist, InputSequence(1, np.zeros((0, 1))), [0.8])
         assert out[0] == last
 
     def test_hand_arithmetic(self):
@@ -277,7 +277,7 @@ class TestTerminalMap:
     def test_bilinear_cancellation(self):
         # u = -th1/(1+th2) sends x=1 to 0 in one step
         u = -0.8 / 1.3
-        out = terminal_map(BILINEAR, [1.0], InputSequence.empty(1), seq([u]), [0.8, 0.3])
+        out = terminal_map(BILINEAR, [1.0], InputSequence(0, np.zeros((0, 1))), seq([u]), [0.8, 0.3])
         assert_allclose(out, [0.0], atol=1e-12)
 
     def test_block_must_start_where_history_ends(self):
@@ -328,7 +328,7 @@ class TestJacobianInput:
 
     def test_empty_block_rejected(self):
         with pytest.raises(ValueError):
-            jacobian_input(SCALAR, [1.0], InputSequence.empty(1), [0.8])
+            jacobian_input(SCALAR, [1.0], InputSequence(0, np.zeros((0, 1))), [0.8])
 
 
 class TestNumericRank:
@@ -531,9 +531,9 @@ class TestLeanBlockPath:
             jacobian_input(AFFINE, [1.0, 0.0], block, [0.5, 0.25])
         # An empty history checks no theta; the block does.
         with pytest.raises(DimensionMismatch, match="theta"):
-            terminal_map(SCALAR, [1.0], InputSequence.empty(1), block, [0.8, 0.1])
+            terminal_map(SCALAR, [1.0], InputSequence(0, np.zeros((0, 1))), block, [0.8, 0.1])
         with pytest.raises(DimensionMismatch, match="input must have shape"):
-            terminal_map(AFFINE, [1.0, 0.0], InputSequence.empty(2), block, [0.5, 0.25])
+            terminal_map(AFFINE, [1.0, 0.0], InputSequence(0, np.zeros((0, 2))), block, [0.5, 0.25])
 
     def test_block_end_map_checks_once_and_equals_a_simulate_call(self):
         with pytest.raises(DimensionMismatch, match="theta"):
@@ -543,7 +543,7 @@ class TestLeanBlockPath:
         with np.errstate(all="ignore"):
             for model, x0, _, block, theta in _lean_cases(np.random.default_rng(26)):
                 end = block_end_map(model, x0, theta, len(block))
-                blank = InputSequence.empty(model.input_dim)
+                blank = InputSequence(0, np.zeros((0, model.input_dim)))
                 ref = reference_terminal_map(model, x0, blank, InputSequence(0, block.inputs), theta)
                 assert np.array_equal(bits(end(block.flat.copy())), bits(ref))
 
@@ -559,7 +559,7 @@ class TestLeanBlockPath:
                 # Two stencil points per input coordinate, one transition per step.
                 assert len(calls) == 2 * horizon * model.input_dim * horizon
                 del calls[:]
-                terminal_map(model, x, InputSequence.empty(model.input_dim), block, theta)
+                terminal_map(model, x, InputSequence(0, np.zeros((0, model.input_dim))), block, theta)
                 assert len(calls) == horizon
 
 

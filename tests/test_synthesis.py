@@ -12,7 +12,6 @@ from regulate import (
     PlantModel,
     SynthesisBounds,
     controllability_rank_check,
-    feasibility_probe,
     get_model,
     simulate,
     synthesize,
@@ -24,7 +23,9 @@ AFFINE_SPEC = get_model("affine_2d")
 
 
 def blank_history(model, x0):
-    return ObservationHistory.initial(x0, model.input_dim, model.state_dim)
+    return ObservationHistory(
+        x0, InputSequence(0, np.zeros((0, model.input_dim))), StateSequence(1, np.zeros((0, model.state_dim)))
+    )
 
 
 def recorded_history(model, x0, inputs, theta_true):
@@ -143,28 +144,6 @@ class TestSynthesisBounds:
             SynthesisBounds(horizon, 4.0)
 
 
-class TestFeasibilityProbe:
-    SAMPLES = [np.array([v]) for v in (0.5, 0.875, 1.25, 1.625, 2.0)]
-
-    def test_scalar_worst_case(self):
-        rep = feasibility_probe(SCALAR_SPEC.model, [1.0], SCALAR_SPEC.bounds, self.SAMPLES, tol=1e-9)
-        assert rep.all_reachable
-        assert rep.worst_case_horizon == 1
-        # |u| = theta*|x| is largest at the top of the box
-        assert_allclose(rep.worst_case_input_norm, 2.0, atol=1e-9)
-
-    def test_from_target_state(self):
-        rep = feasibility_probe(SCALAR_SPEC.model, [0.0], SCALAR_SPEC.bounds, self.SAMPLES, tol=1e-9)
-        assert rep.all_reachable
-        assert rep.worst_case_horizon == 1
-        assert rep.worst_case_input_norm == 0.0
-
-    def test_undersized_amplitude_reported(self):
-        bounds = SynthesisBounds(1, 1.5)
-        rep = feasibility_probe(SCALAR_SPEC.model, [1.0], bounds, self.SAMPLES, tol=1e-9)
-        assert not rep.all_reachable
-
-
 def simulate_block_end_map(model, x, theta, horizon):
     """``block_end_map`` with every evaluation through its own ``simulate`` call."""
     return lambda u: simulate(model, x, InputSequence(0, u.reshape(horizon, model.input_dim)), theta).states[-1]
@@ -278,5 +257,3 @@ class TestLeanSynthesis:
         model = SCALAR_SPEC.model
         with pytest.raises(DimensionMismatch, match="theta"):
             synthesize(model, blank_history(model, [1.0]), [0.8, 0.1], SCALAR_SPEC.bounds, tol=1e-9)
-        with pytest.raises(DimensionMismatch, match="theta"):
-            feasibility_probe(model, [1.0], SCALAR_SPEC.bounds, [np.array([0.8, 0.1])], tol=1e-9)
