@@ -19,7 +19,6 @@ from typing import Callable
 
 import numpy as np
 
-from .estimator import ObservationHistory
 from .plant import InputSequence, PlantModel, step
 from .synthesis import SynthesisBounds
 
@@ -107,8 +106,7 @@ def _spec(*, name, model, deriv, deadbeat, parameter, excitation, bounds, deadbe
     def parameter_from_history(history):
         if history.horizon < min_history:
             return UNIDENTIFIABLE
-        states = np.vstack([history.x0.reshape(1, -1), history.observed_states.states])
-        return parameter(states, history.applied_inputs.inputs)
+        return parameter(history.trajectory.states, history.applied_inputs.inputs)
 
     oracle = BenchmarkOracle(
         deadbeat_horizon,
@@ -245,16 +243,3 @@ def get_model(name: str) -> BenchmarkSpec:
         raise UnknownModel(f"unknown benchmark {name!r}; available: {', '.join(MODEL_NAMES)}") from None
     return builder()
 
-
-def oracle_deadbeat(spec: BenchmarkSpec, x, theta):
-    """Closed-form minimal-horizon block reaching the target exactly.
-
-    Returns (horizon, inputs) with one input row per step.
-    """
-    return spec.oracle.deadbeat(x, theta)
-
-
-def oracle_parameter(spec: BenchmarkSpec, history: ObservationHistory):
-    """Closed-form parameter recovery from recorded transitions; returns
-    UNIDENTIFIABLE when the defining system is singular."""
-    return spec.oracle.parameter_from_history(history)

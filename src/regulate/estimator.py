@@ -7,14 +7,14 @@ separates nearby parameter hypotheses. A start that stalls is followed by
 restarts from a grid of ``MULTISTART_GRID`` points per parameter axis; the
 grid start that equals the first start (the box midpoint, when the estimate
 starts there) reuses the first run's result, so no start is solved twice.
-A history records its inputs (``InputSequence.recorded``), so an estimate
-and the synthesis and inclusion check after it replay the history once per
-recently used parameter vector.
+A history is the trajectory x(0), ..., x(T) it observed and the inputs that
+drove it. It records those inputs (``InputSequence.recorded``), so an
+estimate and the synthesis and inclusion check after it replay the history
+once per recently used parameter vector.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,26 +38,22 @@ MULTISTART_GRID = 3
 
 @dataclass(frozen=True)
 class ObservationHistory:
-    """Known initial state, the inputs applied from t=0, and the states observed
-    at t=1, ..., T in response. A run builds one per control block from its whole
-    trajectory, and grows none in place. ``applied_inputs`` is kept recorded: a
-    read-only copy with a replay memo."""
+    """The inputs applied from t=0 and the trajectory x(0), ..., x(T) they
+    drove, as ``simulate`` returns it: one more state than inputs. A run builds
+    one per control block from its whole trajectory, and grows none in place.
+    ``applied_inputs`` is kept recorded: a read-only copy with a replay memo."""
 
-    x0: np.ndarray
     applied_inputs: InputSequence
-    observed_states: StateSequence
+    trajectory: StateSequence
 
     def __post_init__(self):
-        object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
         object.__setattr__(self, "applied_inputs", self.applied_inputs.recorded())
-        if len(self.applied_inputs) and self.applied_inputs.start_time != 0:
-            raise ValueError("applied inputs must start at time 0")
-        if len(self.observed_states) and self.observed_states.start_time != 1:
-            raise ValueError("observed states must start at time 1")
-        if len(self.applied_inputs) != len(self.observed_states):
+        if self.applied_inputs.start_time != 0 or self.trajectory.start_time != 0:
+            raise ValueError("a history's inputs and trajectory must start at time 0")
+        if len(self.trajectory) != len(self.applied_inputs) + 1:
             raise ValueError(
-                f"history needs one observed state per applied input, got "
-                f"{len(self.applied_inputs)} inputs and {len(self.observed_states)} states"
+                f"history needs the states x(0), ..., x(T) of its T inputs, got "
+                f"{len(self.applied_inputs)} inputs and {len(self.trajectory)} states"
             )
 
     @property
@@ -65,8 +61,13 @@ class ObservationHistory:
         return len(self.applied_inputs)
 
     @property
+    def x0(self) -> np.ndarray:
+        return self.trajectory.states[0]
+
+    @property
     def observed_flat(self) -> np.ndarray:
-        return self.observed_states.flat
+        """The observed states x(1), ..., x(T), flattened."""
+        return self.trajectory.states[1:].ravel()
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,7 @@ def estimate(model: PlantModel, history: ObservationHistory, theta_init, tol: fl
     NotConverged when no start reaches tol; the returned parameters always lie
     inside the box.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     theta_init = _vector(theta_init, model.param_dim, "theta_init")
     if not model.contains_params(theta_init, atol=1e-12):

@@ -168,10 +168,6 @@ class StateSequence:
     def __len__(self) -> int:
         return self.states.shape[0]
 
-    @property
-    def flat(self) -> np.ndarray:
-        return self.states.ravel()
-
 
 def as_inputs(values, input_dim: int, start_time: int = 0) -> InputSequence:
     """Coerce an array-like into an InputSequence.

@@ -3,18 +3,19 @@
 Both run modes are thin wrappers around one block loop: apply an excitation
 signal, then loop over control blocks, re-estimating the parameter from the
 whole past trajectory and synthesizing a block that drives the prediction to
-the target. The loop alone grows that trajectory, and builds each block's
-observation history anew from it. The modes hand the loop only what differs
-between them. The exact mode solves both subproblems to a fixed tight
-tolerance and applies every block. The inexact mode runs the
-shrinking-tolerance schedule: per block the estimation tolerance is
-contracted and the sensitivity multiplier expanded by the same factor, and
-the loop applies the block only once a conservative sensitivity-ball check
-confirms that every parameter hypothesis near the estimate predicts a
-terminal state inside half the termination ball. That check samples
-``PROBE_COUNT`` hypotheses and demands a margin of ``SAFETY`` on its
-Lipschitz bound; it fails at once, before any probe, when the estimate's own
-Jacobian already breaks that bound, as most failing checks do.
+the target. The loop keeps one observation history, which holds that
+trajectory and the inputs that drove it, and builds it anew after each
+applied block. The modes hand the loop only what differs between them. The
+exact mode solves both subproblems to a fixed tight tolerance and applies
+every block. The inexact mode runs the shrinking-tolerance schedule: per
+block the estimation tolerance is contracted and the sensitivity multiplier
+expanded by the same factor, and the loop applies the block only once a
+conservative sensitivity-ball check confirms that every parameter hypothesis
+near the estimate predicts a terminal state inside half the termination
+ball. That check samples ``PROBE_COUNT`` hypotheses and demands a margin of
+``SAFETY`` on its Lipschitz bound; it fails at once, before any probe, when
+the estimate's own Jacobian already breaks that bound, as most failing
+checks do.
 
 Every way a run can stop short is a ``RunFailure``: a safety cap raises a
 ``RegulatorError``, a subsolver a ``NotConverged`` or an ``Infeasible``. Each
@@ -67,8 +68,8 @@ class RegulatorSchedule:
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must satisfy 0 < beta < 1")
         for name in ("mu", "kappa", "eps_fin"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not 0.5 * self.eps_fin > 0:
             raise ValueError("eps_fin must be large enough that its half is positive")
 
@@ -117,15 +118,6 @@ class MaxInnerRetriesExceeded(RegulatorError):
     pass
 
 
-def schedule_step(mu_prev: float, kappa_prev: float, beta: float) -> tuple:
-    """Contract the estimation tolerance and expand the sensitivity multiplier."""
-    if not 0.0 < beta < 1.0:
-        raise ValueError("beta must satisfy 0 < beta < 1")
-    if not (mu_prev > 0 and kappa_prev > 0):
-        raise ValueError("mu_prev and kappa_prev must be positive")
-    return beta * mu_prev, kappa_prev / beta
-
-
 def inclusion_check(
     model: PlantModel,
     history: ObservationHistory,
@@ -146,7 +138,7 @@ def inclusion_check(
     fails that test, returns False before any nominal or probe evaluation;
     the probes' RNG is local to the call, so skipping them moves no stream.
     """
-    if radius < 0:
+    if not radius >= 0:
         raise ValueError("radius must be nonnegative")
     if not bound > 0:
         raise ValueError("bound must be positive")
@@ -208,20 +200,19 @@ def _run_blocks(model, theta_true, x0, u_exc, bounds_fn, solver, max_blocks, *, 
                 "parameter estimates may be ambiguous",
                 stacklevel=3,
             )
-        # The true plant's states x(0), ..., x(T); the history records its own
-        # copy of the caller's excitation array.
-        states = simulate(model, x0, excitation, theta_true).states
-        history = ObservationHistory(states[0], excitation, StateSequence(1, states[1:]))
+        # The true plant's trajectory; the history records its own copy of the
+        # caller's excitation array.
+        history = ObservationHistory(excitation, simulate(model, x0, excitation, theta_true))
         blocks = []
 
         def error():
-            return float(np.linalg.norm(states[-1] - model.target))
+            return float(np.linalg.norm(history.trajectory.states[-1] - model.target))
 
         def outcome(terminated):
             # The read-only inputs without the history's replay memo, which a
             # failure's partial outcome would otherwise keep alive.
             inputs = InputSequence(0, history.applied_inputs.inputs)
-            return RunOutcome(terminated, tuple(blocks), StateSequence(0, states), inputs, error())
+            return RunOutcome(terminated, tuple(blocks), history.trajectory, inputs, error())
 
         seed_rng = np.random.default_rng(solver.seed)
         theta_guess = 0.5 * (model.param_lower + model.param_upper)
@@ -230,7 +221,8 @@ def _run_blocks(model, theta_true, x0, u_exc, bounds_fn, solver, max_blocks, *, 
                 k = len(blocks) + 1
                 if k > max_blocks:
                     raise MaxBlocksExceeded(f"{max_blocks} blocks without termination")
-                bounds_k = bounds_fn(states[-1])
+                x_start = history.trajectory.states[-1]
+                bounds_k = bounds_fn(x_start)
                 for retries, (tol, mu, kappa) in enumerate(attempts(blocks[-1] if blocks else None)):
                     est = estimate(model, history, theta_guess, tol)
                     plan = synthesize(
@@ -241,16 +233,16 @@ def _run_blocks(model, theta_true, x0, u_exc, bounds_fn, solver, max_blocks, *, 
                         model, history, est.theta, plan, kappa * mu, synth_tol, seed=int(seed_rng.integers(2**63))
                     ):
                         break
-                landed = simulate(model, states[-1], plan.block, theta_true).states
+                landed = simulate(model, x_start, plan.block, theta_true).states
                 blocks.append(
                     BlockRecord(
                         k, history.horizon, est.theta, mu, kappa, plan.horizon, plan.block,
                         landed[-1], est.residual, retries,
                     )
                 )
-                states = np.vstack([states, landed[1:]])
                 inputs = np.vstack([history.applied_inputs.inputs, plan.block.inputs])
-                history = ObservationHistory(states[0], InputSequence(0, inputs), StateSequence(1, states[1:]))
+                states = np.vstack([history.trajectory.states, landed[1:]])
+                history = ObservationHistory(InputSequence(0, inputs), StateSequence(0, states))
         except RunFailure as err:
             if not isinstance(err, RegulatorError):
                 err.block_index = len(blocks) + 1
@@ -278,8 +270,8 @@ def run_exact(
     failures propagate as the subsolver's RunFailure with ``block_index`` and
     ``partial_outcome`` filled in.
     """
-    if tol_exact <= 0:
-        raise ValueError("tol_exact must be positive")
+    if not 0 < tol_exact < np.inf:
+        raise ValueError("tol_exact must be positive and finite")
     return _run_blocks(
         model, theta_true, x0, u_exc, bounds_fn, solver, max_blocks,
         done=lambda error: error <= tol_exact,
@@ -318,7 +310,7 @@ def run_inexact(
         # before the first): kappa advances by one division per block so logged
         # values replay bit-for-bit, and mu contracts again after every failed check.
         prev, k = (last, last.index + 1) if last else (schedule0, 1)
-        mu, kappa = schedule_step(prev.mu, prev.kappa, beta)
+        mu, kappa = beta * prev.mu, prev.kappa / beta
         for failed in itertools.count():
             if mu == 0.0:  # the contraction underflowed: no tolerance is left
                 raise MaxInnerRetriesExceeded(

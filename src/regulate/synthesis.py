@@ -37,8 +37,9 @@ class SynthesisBounds:
             raise ValueError(f"max_horizon must be an integer (got {self.max_horizon!r})")
         if self.max_horizon < 1:
             raise ValueError("max_horizon must be at least 1")
-        if not self.max_amplitude > 0:
-            raise ValueError("max_amplitude must be positive")
+        # The synthesis draws its starts from [-max_amplitude, max_amplitude].
+        if not 0 < 2.0 * self.max_amplitude < np.inf:
+            raise ValueError("max_amplitude must be positive, and the amplitude box of finite width")
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ def synthesize(
     Every candidate block runs through the plant's ``block_end_map``, which
     checks x and theta once per horizon, without a ``simulate`` call of its own.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     start_time = history.horizon
     # Predicted state at the block start under theta: the history's replay from

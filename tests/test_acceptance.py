@@ -18,7 +18,6 @@ from regulate import (
     identifiability_margin,
     jacobian_input,
     jacobian_theta,
-    oracle_parameter,
     run_exact,
     run_inexact,
     stacked_map,
@@ -40,15 +39,14 @@ def timed(fn):
 
 
 def history_of(outcome):
-    states = outcome.trajectory.states
-    return ObservationHistory(states[0], outcome.inputs, StateSequence(1, states[1:]))
+    return ObservationHistory(outcome.inputs, outcome.trajectory)
 
 
 def first_segment_residual(model, outcome, theta, n_exc):
     hist = history_of(outcome)
     head = as_inputs(hist.applied_inputs.inputs[:n_exc], model.input_dim)
     predicted = stacked_map(model, hist.x0, head, theta)
-    observed = hist.observed_states.states[:n_exc].ravel()
+    observed = hist.trajectory.states[1 : n_exc + 1].ravel()
     return float(np.linalg.norm(predicted - observed))
 
 
@@ -155,7 +153,7 @@ def test_criterion_1_exact_scalar_end_to_end(exact_scalar):
 def test_criterion_2_exact_affine_multi_parameter(exact_affine):
     outcome, seconds = exact_affine
     spec = get_model("affine_2d")
-    recovered = oracle_parameter(spec, history_of(outcome))
+    recovered = spec.oracle.parameter_from_history(history_of(outcome))
     checks = [
         outcome.terminated,
         len(outcome.blocks) <= 2,
@@ -285,10 +283,8 @@ def test_criterion_7_prefix_property():
 def test_criterion_8_degenerate_excitation(tmp_path):
     spec = get_model("scalar_linear")
     report = excitation_rank_check(spec.model, as_inputs([0.0], 1), [([0.0], [1.0])])
-    hist = ObservationHistory(
-        np.array([0.0]), as_inputs([0.0], 1), StateSequence(1, np.array([[0.0]]))
-    )
-    recovered = oracle_parameter(spec, hist)
+    hist = ObservationHistory(as_inputs([0.0], 1), StateSequence(0, np.array([[0.0], [0.0]])))
+    recovered = spec.oracle.parameter_from_history(hist)
     config_path = tmp_path / "degenerate.json"
     config_path.write_text(
         json.dumps(

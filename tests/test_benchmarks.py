@@ -12,8 +12,6 @@ from regulate import (
     get_model,
     jacobian_input,
     jacobian_theta,
-    oracle_deadbeat,
-    oracle_parameter,
     simulate,
     step,
     synthesize,
@@ -24,8 +22,7 @@ from regulate.plant import InputSequence, StateSequence, as_inputs
 
 def noise_free_history(model, x0, inputs, theta_true):
     u = as_inputs(inputs, model.input_dim)
-    traj = simulate(model, x0, u, theta_true)
-    return ObservationHistory(np.atleast_1d(np.asarray(x0, float)), u, StateSequence(1, traj.states[1:]))
+    return ObservationHistory(u, simulate(model, x0, u, theta_true))
 
 
 class TestRegistry:
@@ -49,24 +46,24 @@ class TestRegistry:
 class TestDeadbeatOracle:
     def test_scalar(self):
         spec = get_model("scalar_linear")
-        horizon, block = oracle_deadbeat(spec, [1.3], [0.8])
+        horizon, block = spec.oracle.deadbeat([1.3], [0.8])
         assert horizon == 1
         assert_allclose(block, [[-1.04]], atol=1e-12)
 
     def test_bilinear(self):
         spec = get_model("bilinear_scalar")
-        horizon, block = oracle_deadbeat(spec, [1.0], [0.8, 0.3])
+        horizon, block = spec.oracle.deadbeat([1.0], [0.8, 0.3])
         assert horizon == 1
         assert_allclose(block, [[-0.8 / 1.3]], atol=1e-12)
 
     def test_bilinear_singular_state(self):
         spec = get_model("bilinear_scalar")
         with pytest.raises(SingularInput):
-            oracle_deadbeat(spec, [-2.5], [0.5, 0.4])
+            spec.oracle.deadbeat([-2.5], [0.5, 0.4])
 
     def test_affine_lands_on_target(self):
         spec = get_model("affine_2d")
-        horizon, block = oracle_deadbeat(spec, [1.0, 1.0], [0.5, 0.25])
+        horizon, block = spec.oracle.deadbeat([1.0, 1.0], [0.5, 0.25])
         assert horizon == 2
         landed = simulate(spec.model, [1.0, 1.0], as_inputs(block, 2), [0.5, 0.25]).states[-1]
         assert_allclose(landed, [0.0, 0.0], atol=1e-12)
@@ -79,7 +76,7 @@ class TestDeadbeatOracle:
             for _ in range(25):
                 x = rng.uniform(0.2, 1.5, model.state_dim)
                 theta = rng.uniform(model.param_lower, model.param_upper)
-                horizon, block = oracle_deadbeat(spec, x, theta)
+                horizon, block = spec.oracle.deadbeat(x, theta)
                 landed = simulate(model, x, as_inputs(block, model.input_dim), theta).states[-1]
                 assert np.linalg.norm(landed - model.target) <= 1e-12
 
@@ -87,29 +84,25 @@ class TestDeadbeatOracle:
 class TestParameterOracle:
     def test_scalar_hand_value(self):
         spec = get_model("scalar_linear")
-        hist = ObservationHistory(
-            np.array([2.0]), as_inputs([0.0], 1), StateSequence(1, np.array([[1.6]]))
-        )
-        assert_allclose(oracle_parameter(spec, hist), [0.8], atol=1e-12)
+        hist = ObservationHistory(as_inputs([0.0], 1), StateSequence(0, np.array([[2.0], [1.6]])))
+        assert_allclose(spec.oracle.parameter_from_history(hist), [0.8], atol=1e-12)
 
     def test_scalar_zero_state_unidentifiable(self):
         spec = get_model("scalar_linear")
-        hist = ObservationHistory(
-            np.array([0.0]), as_inputs([0.0], 1), StateSequence(1, np.array([[0.0]]))
-        )
-        assert oracle_parameter(spec, hist) is UNIDENTIFIABLE
+        hist = ObservationHistory(as_inputs([0.0], 1), StateSequence(0, np.array([[0.0], [0.0]])))
+        assert spec.oracle.parameter_from_history(hist) is UNIDENTIFIABLE
 
     def test_affine_recovers_from_default_excitation(self):
         spec = get_model("affine_2d")
         hist = noise_free_history(spec.model, [1.0, 0.0], spec.excitation, [0.5, 0.25])
-        assert_allclose(oracle_parameter(spec, hist), [0.5, 0.25], atol=1e-12)
+        assert_allclose(spec.oracle.parameter_from_history(hist), [0.5, 0.25], atol=1e-12)
 
     def test_bilinear_needs_distinct_inputs(self):
         spec = get_model("bilinear_scalar")
         same = noise_free_history(spec.model, [1.0], [0.3, 0.3], [0.8, 0.3])
-        assert oracle_parameter(spec, same) is UNIDENTIFIABLE
+        assert spec.oracle.parameter_from_history(same) is UNIDENTIFIABLE
         distinct = noise_free_history(spec.model, [1.0], spec.excitation, [0.8, 0.3])
-        assert_allclose(oracle_parameter(spec, distinct), [0.8, 0.3], atol=1e-10)
+        assert_allclose(spec.oracle.parameter_from_history(distinct), [0.8, 0.3], atol=1e-10)
 
 
 class TestOraclePipelineAgreement:
@@ -141,7 +134,7 @@ class TestOraclePipelineAgreement:
                 theta_true = rng.uniform(model.param_lower, model.param_upper)
                 x0 = rng.uniform(0.4, 1.6, model.state_dim)
                 hist = noise_free_history(model, x0, spec.excitation, theta_true)
-                recovered = oracle_parameter(spec, hist)
+                recovered = spec.oracle.parameter_from_history(hist)
                 if recovered is UNIDENTIFIABLE:
                     continue
                 fitted = estimate(model, hist, model.clip_params(recovered), tol=1e-10)
@@ -157,14 +150,10 @@ class TestOraclePipelineAgreement:
             for _ in range(20):
                 theta = rng.uniform(model.param_lower, model.param_upper)
                 x = rng.uniform(0.3, 1.4, model.state_dim)
-                horizon, block = oracle_deadbeat(spec, x, theta)
+                horizon, block = spec.oracle.deadbeat(x, theta)
                 plan = synthesize(
                     model,
-                    ObservationHistory(
-                        x,
-                        InputSequence(0, np.zeros((0, model.input_dim))),
-                        StateSequence(1, np.zeros((0, model.state_dim))),
-                    ),
+                    ObservationHistory(InputSequence(0, np.zeros((0, model.input_dim))), StateSequence(0, [x])),
                     theta, spec.bounds, tol=1e-10, seed=5,
                 )
                 assert plan.horizon == horizon

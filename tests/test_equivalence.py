@@ -38,7 +38,6 @@ from regulate import (
     inclusion_check,
     run_exact,
     run_inexact,
-    schedule_step,
     simulate,
     synthesize,
 )
@@ -244,8 +243,8 @@ def test_predicted_error_is_the_full_replay(name):
     theta_true, x0 = CASES[name]
     for _ in range(5):
         inputs = rng.uniform(-0.3, 0.3, (int(rng.integers(0, 30)), model.input_dim))
-        states = plant.simulate(model, x0, InputSequence(0, inputs), theta_true).states
-        history = ObservationHistory(x0, InputSequence(0, inputs), StateSequence(1, states[1:]))
+        u = InputSequence(0, inputs)
+        history = ObservationHistory(u, plant.simulate(model, x0, u, theta_true))
         theta = model.clip_params(theta_true + rng.normal(0.0, 0.05, model.param_dim))
         bounds = SynthesisBounds(spec.bounds.max_horizon, 10.0)
         plan = synthesize(model, history, theta, bounds, 1e-9, seed=int(rng.integers(100)))
@@ -352,10 +351,8 @@ class ReferenceRunLog:
 
     def history(self) -> ObservationHistory:
         inputs = np.array(self.input_rows).reshape(len(self.input_rows), self.model.input_dim)
-        observed = np.array(self.states[1:]).reshape(len(self.states) - 1, self.model.state_dim)
-        return ObservationHistory(
-            self.states[0], InputSequence(0, inputs), StateSequence(1, observed)
-        )
+        states = np.array(self.states).reshape(len(self.states), self.model.state_dim)
+        return ObservationHistory(InputSequence(0, inputs), StateSequence(0, states))
 
     def apply(self, block):
         seg = simulate(self.model, self.x, block, self.theta_true)
@@ -450,7 +447,7 @@ def reference_run_inexact(
             return log.outcome(True)
         if len(log.blocks) >= max_blocks:
             raise reference_abort(MaxBlocksExceeded, f"{max_blocks} blocks without termination", log)
-        mu, kappa = schedule_step(mu_prev, kappa, beta)
+        mu, kappa = beta * mu_prev, kappa / beta
         history = log.history()
         bounds_k = bounds_fn(log.x)
         retries = 0
@@ -749,9 +746,9 @@ def _box_starts(model, rng):
 def _history(model, rng, T, theta, x0=None, amplitude=1.0, noise=0.0):
     x0 = rng.uniform(-2.0, 2.0, model.state_dim) if x0 is None else np.asarray(x0, float)
     inputs = InputSequence(0, rng.uniform(-amplitude, amplitude, (T, model.input_dim)))
-    states = plant.simulate(model, x0, inputs, theta).states[1:]
-    states = states + noise * rng.standard_normal(states.shape)
-    return ObservationHistory(x0, inputs, StateSequence(1, states))
+    states = plant.simulate(model, x0, inputs, theta).states
+    states[1:] = states[1:] + noise * rng.standard_normal(states[1:].shape)
+    return ObservationHistory(inputs, StateSequence(0, states))
 
 
 def _estimation_cases(name, rng):

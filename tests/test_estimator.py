@@ -30,14 +30,23 @@ BILINEAR = get_model("bilinear_scalar").model
 def make_history(model, x0, inputs, theta_true):
     """Noise-free history generated by the true plant."""
     u = as_inputs(inputs, model.input_dim)
-    traj = simulate(model, x0, u, theta_true)
-    return ObservationHistory(np.atleast_1d(np.asarray(x0, float)), u, StateSequence(1, traj.states[1:]))
+    return ObservationHistory(u, simulate(model, x0, u, theta_true))
 
 
 def history_with_observations(x0, inputs, observed):
     u = as_inputs(inputs, 1)
-    obs = np.asarray(observed, float).reshape(-1, 1)
-    return ObservationHistory(np.atleast_1d(np.asarray(x0, float)), u, StateSequence(1, obs))
+    return ObservationHistory(u, StateSequence(0, np.append(x0, observed).reshape(-1, 1)))
+
+
+class TestObservationHistory:
+    def test_trajectory_holds_x0_to_xT(self):
+        hist = make_history(SCALAR, [1.0], [0.5, -0.2], [0.8])
+        assert np.array_equal(hist.x0, [1.0])
+        assert np.array_equal(hist.observed_flat, hist.trajectory.states[1:].ravel())
+        with pytest.raises(ValueError, match=r"x\(0\)"):
+            ObservationHistory(hist.applied_inputs, StateSequence(0, hist.trajectory.states[1:]))
+        with pytest.raises(ValueError, match="time 0"):
+            ObservationHistory(hist.applied_inputs, StateSequence(1, hist.trajectory.states))
 
 
 class TestResidualNorm:
@@ -155,10 +164,11 @@ class TestEstimate:
         assert result.converged and result.residual == 0.0
         assert np.array_equal(result.theta, [0.5, 0.0])
 
-    def test_invalid_arguments(self):
+    @pytest.mark.parametrize("tol", [0.0, float("nan")])
+    def test_invalid_arguments(self, tol):
         hist = history_with_observations([1.0], [0.0], [0.8])
         with pytest.raises(ValueError):
-            estimate(SCALAR, hist, [1.0], tol=0.0)
+            estimate(SCALAR, hist, [1.0], tol=tol)
         with pytest.raises(ValueError):
             estimate(SCALAR, hist, [9.0], tol=1e-8)
 
@@ -173,8 +183,8 @@ class TestReplayMemo:
         assert np.array_equal(residual_vector(SCALAR, hist, [0.8]), before)
         # The next block's history, built as the run loop builds it.
         inputs = np.vstack([hist.applied_inputs.inputs, [[1.0]]])
-        states = np.vstack([hist.observed_states.states, [[1.632]]])
-        longer = ObservationHistory(hist.x0, InputSequence(0, inputs), StateSequence(1, states))
+        states = np.vstack([hist.trajectory.states, [[1.632]]])
+        longer = ObservationHistory(InputSequence(0, inputs), StateSequence(0, states))
         assert not longer.applied_inputs.inputs.flags.writeable
         assert longer.applied_inputs._replays == {}
 

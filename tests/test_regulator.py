@@ -15,7 +15,6 @@ from regulate import (
     inclusion_check,
     run_exact,
     run_inexact,
-    schedule_step,
     simulate,
 )
 from regulate.plant import StateSequence, as_inputs
@@ -25,35 +24,13 @@ AFFINE = get_model("affine_2d")
 BILINEAR = get_model("bilinear_scalar")
 
 
-class TestScheduleStep:
-    def test_contracts_and_expands(self):
-        assert schedule_step(1.0, 1.0, 0.5) == (0.5, 2.0)
-        assert schedule_step(0.5, 2.0, 0.5) == (0.25, 4.0)
-
-    def test_product_invariance(self):
-        mu, kappa = 1.0, 1.0
-        for _ in range(6):
-            mu, kappa = schedule_step(mu, kappa, 0.5)
-        assert_allclose(mu * kappa, 1.0, rtol=1e-15)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            schedule_step(1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            schedule_step(-1.0, 1.0, 0.5)
-
-
 class TestInclusionCheck:
     @staticmethod
     def affine_in_theta_setup():
         # With x(0)=0 the recorded step contributes 0.7 and the candidate
         # block adds u; the terminal map is theta*0.7 + 0.2, slope 0.7.
         model = SCALAR.model
-        hist = ObservationHistory(
-            np.array([0.0]),
-            as_inputs([0.7], 1),
-            StateSequence(1, np.array([[0.7]])),
-        )
+        hist = ObservationHistory(as_inputs([0.7], 1), StateSequence(0, np.array([[0.0], [0.7]])))
         plan = ControlPlan(1, as_inputs([0.2], 1, start_time=1), 0.0)
         return model, hist, plan
 
@@ -71,15 +48,22 @@ class TestInclusionCheck:
         model, hist, plan = self.affine_in_theta_setup()
         assert inclusion_check(model, hist, [1.25], plan, radius=2.0, bound=1e6, seed=0)
 
-    def test_domain(self):
+    @pytest.mark.parametrize("radius", [-1.0, float("nan")])
+    def test_domain(self, radius):
         model, hist, plan = self.affine_in_theta_setup()
-        with pytest.raises(ValueError):
-            inclusion_check(model, hist, [1.25], plan, radius=-1.0, bound=1.0)
+        with pytest.raises(ValueError, match="radius"):
+            inclusion_check(model, hist, [1.25], plan, radius=radius, bound=1.0)
         with pytest.raises(ValueError):
             inclusion_check(model, hist, [1.25], plan, radius=1.0, bound=0.0)
 
 
 class TestRunExact:
+    @pytest.mark.parametrize("tol_exact", [0.0, float("nan"), float("inf")])
+    def test_tol_exact_must_be_positive_and_finite(self, tol_exact):
+        with pytest.raises(ValueError, match="tol_exact"):
+            run_exact(SCALAR.model, [0.8], [1.0], SCALAR.excitation, bounds_fn=lambda x: SCALAR.bounds,
+                      tol_exact=tol_exact)
+
     def test_scalar_full_hand_trace(self):
         out = run_exact(
             SCALAR.model, [0.8], [1.0], SCALAR.excitation, bounds_fn=lambda x: SCALAR.bounds
@@ -281,6 +265,15 @@ class TestScheduleType:
         with pytest.raises(ValueError):
             RegulatorSchedule(0.5, 0.0, 1.0, 1e-3)
         with pytest.raises(ValueError):
+            RegulatorSchedule(0.5, -1.0, 1.0, 1e-3)
+        with pytest.raises(ValueError):
             RegulatorSchedule(0.5, 1.0, 1.0, 0.0)
         with pytest.raises(ValueError, match="half"):
             RegulatorSchedule(0.5, 1.0, 1.0, 5e-324)
+
+    @pytest.mark.parametrize("field", ["mu", "kappa", "eps_fin"])
+    def test_rejects_infinity(self, field):
+        values = dict(beta=0.5, mu=1.0, kappa=1.0, eps_fin=1e-3)
+        values[field] = float("inf")
+        with pytest.raises(ValueError, match=field):
+            RegulatorSchedule(**values)

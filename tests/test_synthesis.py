@@ -23,15 +23,12 @@ AFFINE_SPEC = get_model("affine_2d")
 
 
 def blank_history(model, x0):
-    return ObservationHistory(
-        x0, InputSequence(0, np.zeros((0, model.input_dim))), StateSequence(1, np.zeros((0, model.state_dim)))
-    )
+    return ObservationHistory(InputSequence(0, np.zeros((0, model.input_dim))), StateSequence(0, [x0]))
 
 
 def recorded_history(model, x0, inputs, theta_true):
     u = as_inputs(inputs, model.input_dim)
-    traj = simulate(model, x0, u, theta_true)
-    return ObservationHistory(np.atleast_1d(np.asarray(x0, float)), u, StateSequence(1, traj.states[1:]))
+    return ObservationHistory(u, simulate(model, x0, u, theta_true))
 
 
 class TestSynthesize:
@@ -142,6 +139,19 @@ class TestSynthesisBounds:
     def test_max_horizon_must_be_positive(self, horizon):
         with pytest.raises(ValueError, match="at least 1"):
             SynthesisBounds(horizon, 4.0)
+
+    # The starts are drawn from [-max_amplitude, max_amplitude], whose width
+    # overflows to inf from 1e308 on.
+    @pytest.mark.parametrize("amplitude", [0.0, float("nan"), float("inf"), 1e308])
+    def test_amplitude_box_must_be_positive_and_finite(self, amplitude):
+        with pytest.raises(ValueError, match="max_amplitude"):
+            SynthesisBounds(2, amplitude)
+
+    @pytest.mark.parametrize("tol", [0.0, float("nan")])
+    def test_synthesis_tolerance_must_be_positive(self, tol):
+        model = SCALAR_SPEC.model
+        with pytest.raises(ValueError, match="tol"):
+            synthesize(model, blank_history(model, [1.0]), [0.8], SCALAR_SPEC.bounds, tol=tol)
 
 
 def simulate_block_end_map(model, x, theta, horizon):
