@@ -5,11 +5,12 @@ Registry:
   affine_2d        f = (x2 + u1, th1*x1 + th2*x2 + u2)  box [0.25, 1]^2,    target (0, 0)
   bilinear_scalar  f = th1*x + (1 + th2*x)*u         box [0.5,1] x [0,0.4], target 0
 
-Each entry ships a default excitation that passes the identifiability rank
-check from the default initial state, default synthesis bounds, and analytic
-oracles (deadbeat input formulas, parameter recovery from recorded
-transitions, exact chain-rule sensitivities) that tests hold against the
-finite-difference pipeline.
+Each plant declares only independent facts: its transition and model, exact
+one-step derivatives, deadbeat and parameter-recovery formulas, a default
+excitation that passes the identifiability rank check from the default
+initial state, and default synthesis bounds. ``_spec`` wires them into the
+closed-form oracles that tests hold against the finite-difference pipeline;
+recovery returns None when the data cannot identify theta.
 """
 
 from __future__ import annotations
@@ -31,18 +32,6 @@ class SingularInput(ValueError):
     """The deadbeat formula's denominator vanishes at this state."""
 
 
-class _Unidentifiable:
-    """Sentinel: the defining system for parameter recovery is singular."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "UNIDENTIFIABLE"
-
-
-UNIDENTIFIABLE = _Unidentifiable()
-
-
 @dataclass(frozen=True)
 class StepDerivatives:
     """Exact one-step partial derivatives of the transition map."""
@@ -56,7 +45,6 @@ class StepDerivatives:
 class BenchmarkOracle:
     """Closed-form companions to the numeric pipeline."""
 
-    deadbeat_horizon: int
     deadbeat: Callable
     parameter_from_history: Callable
     stacked_jacobian: Callable
@@ -65,7 +53,6 @@ class BenchmarkOracle:
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
-    name: str
     model: PlantModel
     excitation: InputSequence
     bounds: SynthesisBounds
@@ -95,27 +82,23 @@ def _forward_sensitivities(model: PlantModel, deriv: StepDerivatives, x, u_seq: 
     return stacked, np.hstack(pieces[::-1]) if pieces else np.zeros((model.state_dim, 0))
 
 
-def _spec(*, name, model, deriv, deadbeat, parameter, excitation, bounds, deadbeat_horizon, min_history):
+def _spec(*, model, deriv, deadbeat, parameter, excitation, bounds):
     """One plant's facts wired into a BenchmarkSpec: ``deadbeat(x, th)`` gets
     float arrays and returns the block, and ``parameter(states, inputs)`` gets
-    x(0), ..., x(T) and the inputs of a history at least ``min_history`` long."""
+    x(0), ..., x(T) and the T inputs of a history, and returns None when they
+    cannot identify theta."""
 
     def deadbeat_block(x, th):
-        return deadbeat_horizon, deadbeat(np.atleast_1d(np.asarray(x, float)), np.atleast_1d(np.asarray(th, float)))
-
-    def parameter_from_history(history):
-        if history.horizon < min_history:
-            return UNIDENTIFIABLE
-        return parameter(history.trajectory.states, history.applied_inputs.inputs)
+        block = deadbeat(np.atleast_1d(np.asarray(x, float)), np.atleast_1d(np.asarray(th, float)))
+        return len(block), block
 
     oracle = BenchmarkOracle(
-        deadbeat_horizon,
         deadbeat_block,
-        parameter_from_history,
+        lambda history: parameter(history.trajectory.states, history.applied_inputs.inputs),
         lambda x0, u_seq, th: _forward_sensitivities(model, deriv, x0, u_seq, th)[0],
         lambda x, block, th: _forward_sensitivities(model, deriv, x, block, th)[1],
     )
-    return BenchmarkSpec(name, model, excitation, bounds, oracle)
+    return BenchmarkSpec(model, excitation, bounds, oracle)
 
 
 def _scalar_linear() -> BenchmarkSpec:
@@ -125,12 +108,12 @@ def _scalar_linear() -> BenchmarkSpec:
     model = PlantModel(1, 1, 1, f, [[0.5, 2.0]], [0.0])
 
     def parameter(states, inputs):
-        if states[0, 0] == 0.0:
-            return UNIDENTIFIABLE
+        if len(inputs) == 0 or states[0, 0] == 0.0:
+            return None
         return np.array([(states[1, 0] - inputs[0, 0]) / states[0, 0]])
 
     return _spec(
-        name="scalar_linear", model=model,
+        model=model,
         deriv=StepDerivatives(
             wrt_state=lambda x, u, th: np.array([[th[0]]]),
             wrt_input=lambda x, u, th: np.array([[1.0]]),
@@ -139,7 +122,6 @@ def _scalar_linear() -> BenchmarkSpec:
         deadbeat=lambda x, th: np.array([[model.target[0] - th[0] * x[0]]]),
         parameter=parameter,
         excitation=InputSequence(0, [[0.5]]), bounds=SynthesisBounds(2, 4.0),
-        deadbeat_horizon=1, min_history=1,
     )
 
 
@@ -157,17 +139,19 @@ def _affine_2d() -> BenchmarkSpec:
 
     def parameter(states, inputs):
         # Each transition constrains theta through its second coordinate:
-        # x2(t+1) - u2(t) = th1*x1(t) + th2*x2(t).
+        # x2(t+1) - u2(t) = th1*x1(t) + th2*x2(t). Two transitions fix it.
+        if len(inputs) < 2:
+            return None
         lhs = states[0:2, :]
         rhs = states[1:3, 1] - inputs[0:2, 1]
         det = lhs[0, 0] * lhs[1, 1] - lhs[0, 1] * lhs[1, 0]
         scale = np.linalg.norm(lhs[0]) * np.linalg.norm(lhs[1])
         if abs(det) <= 1e-12 * max(scale, 1.0):
-            return UNIDENTIFIABLE
+            return None
         return np.linalg.solve(lhs, rhs)
 
     return _spec(
-        name="affine_2d", model=model,
+        model=model,
         deriv=StepDerivatives(
             wrt_state=lambda x, u, th: np.array([[0.0, 1.0], [th[0], th[1]]]),
             wrt_input=lambda x, u, th: np.eye(2),
@@ -176,7 +160,6 @@ def _affine_2d() -> BenchmarkSpec:
         deadbeat=deadbeat,
         parameter=parameter,
         excitation=InputSequence(0, [[1.0, 0.0], [0.0, 0.0]]), bounds=SynthesisBounds(3, 0.75),
-        deadbeat_horizon=2, min_history=2,
     )
 
 
@@ -194,7 +177,7 @@ def _bilinear_scalar() -> BenchmarkSpec:
 
     def parameter(states, inputs):
         # Transition t constrains theta via x(t+1) - u(t) = th1*x(t) + th2*x(t)*u(t);
-        # pick the best-conditioned pair of transitions.
+        # pick the best-conditioned pair of transitions (none with fewer than two).
         rows = np.column_stack([states[:-1, 0], states[:-1, 0] * inputs[:, 0]])
         rhs_all = states[1:, 0] - inputs[:, 0]
         best = None
@@ -208,12 +191,12 @@ def _bilinear_scalar() -> BenchmarkSpec:
                     best_quality = quality
                     best = (i, j)
         if best is None or best_quality <= 1e-10:
-            return UNIDENTIFIABLE
+            return None
         i, j = best
         return np.linalg.solve(rows[[i, j]], rhs_all[[i, j]])
 
     return _spec(
-        name="bilinear_scalar", model=model,
+        model=model,
         deriv=StepDerivatives(
             wrt_state=lambda x, u, th: np.array([[th[0] + th[1] * u[0]]]),
             wrt_input=lambda x, u, th: np.array([[1.0 + th[1] * x[0]]]),
@@ -222,7 +205,6 @@ def _bilinear_scalar() -> BenchmarkSpec:
         deadbeat=deadbeat,
         parameter=parameter,
         excitation=InputSequence(0, [[0.0], [0.5]]), bounds=SynthesisBounds(2, 2.0),
-        deadbeat_horizon=1, min_history=2,
     )
 
 

@@ -90,10 +90,13 @@ class PlantModel:
                 raise ValueError(f"{name} must be a positive integer (got {value!r})")
             object.__setattr__(self, name, int(value))
         box = np.asarray(self.param_box, dtype=float).reshape(self.param_dim, 2)
-        if np.any(box[:, 0] > box[:, 1]):
-            raise ValueError("param_box rows must satisfy lo <= hi")
+        if not np.all(np.isfinite(box)) or np.any(box[:, 0] > box[:, 1]):
+            raise ValueError("param_box rows must be finite and satisfy lo <= hi")
+        target = _vector(self.target, self.state_dim, "target")
+        if not np.all(np.isfinite(target)):
+            raise ValueError("target must be finite")
         object.__setattr__(self, "param_box", box)
-        object.__setattr__(self, "target", _vector(self.target, self.state_dim, "target"))
+        object.__setattr__(self, "target", target)
 
     @property
     def param_lower(self) -> np.ndarray:

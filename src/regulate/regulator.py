@@ -74,11 +74,20 @@ class RegulatorSchedule:
             raise ValueError("eps_fin must be large enough that its half is positive")
 
 
+def _check_count(name, value):
+    """Refuse a seed or a cap that is not an integer >= 0, as the CLI does."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be an integer >= 0 (got {value!r})")
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     """Seed of the per-block synthesis multistarts and inclusion-check probes."""
 
     seed: int = 0
+
+    def __post_init__(self):
+        _check_count("seed", self.seed)
 
 
 @dataclass(frozen=True)
@@ -187,12 +196,17 @@ def _run_blocks(model, theta_true, x0, u_exc, bounds_fn, solver, max_blocks, *, 
     attempt with mu None is applied at once, any other once the inclusion check
     passes on the ball of radius kappa * mu. Every RunFailure leaves at one
     site, which adds the log so far and, unless a cap raised it, the block.
+    A cap, x0 or an excitation that the CLI would refuse raises ValueError first.
     """
+    _check_count("max_blocks", max_blocks)
+    excitation = as_inputs(u_exc, model.input_dim, start_time=0)
+    for name, value in (("x0", x0), ("excitation", excitation.inputs)):
+        if not np.all(np.isfinite(np.asarray(value, dtype=float))):
+            raise ValueError(f"{name} must be finite")
     # A state or a hypothesis that diverges overflows to inf or nan, which the
     # run's error and the estimator's residuals carry on purpose (an infinite
     # residual loses every comparison); numpy is told so once per run.
     with np.errstate(over="ignore", invalid="ignore"):
-        excitation = as_inputs(u_exc, model.input_dim, start_time=0)
         truth = [(np.asarray(x0, float), np.asarray(theta_true, float))]
         if not excitation_rank_check(model, excitation, truth).passed:
             warnings.warn(
@@ -303,6 +317,7 @@ def run_inexact(
     Terminates once the measured state enters the ``eps_fin`` ball around the
     target.
     """
+    _check_count("max_inner_retries", max_inner_retries)
     beta, eps_fin = schedule0.beta, schedule0.eps_fin
 
     def attempts(last):

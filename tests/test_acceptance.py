@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from regulate import (
-    UNIDENTIFIABLE,
     ObservationHistory,
     RegulatorSchedule,
     excitation_rank_check,
@@ -158,7 +157,7 @@ def test_criterion_2_exact_affine_multi_parameter(exact_affine):
         outcome.terminated,
         len(outcome.blocks) <= 2,
         outcome.final_error <= 1e-8,
-        recovered is not UNIDENTIFIABLE
+        recovered is not None
         and np.linalg.norm(outcome.blocks[-1].theta - recovered) <= 1e-8,
         seconds < 1.0,
     ]
@@ -296,7 +295,7 @@ def test_criterion_8_degenerate_excitation(tmp_path):
         encoding="utf-8",
     )
     exit_code = main(["check-excitation", "--config", str(config_path)])
-    checks = [not report.passed, recovered is UNIDENTIFIABLE, exit_code == 3]
+    checks = [not report.passed, recovered is None, exit_code == 3]
     verdict(8, "degenerate excitation: rank check fails, oracle unidentifiable, CLI exits 3", all(checks))
 
 

@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from regulate import (
-    UNIDENTIFIABLE,
     ObservationHistory,
     SingularInput,
     UnknownModel,
@@ -90,7 +89,7 @@ class TestParameterOracle:
     def test_scalar_zero_state_unidentifiable(self):
         spec = get_model("scalar_linear")
         hist = ObservationHistory(as_inputs([0.0], 1), StateSequence(0, np.array([[0.0], [0.0]])))
-        assert spec.oracle.parameter_from_history(hist) is UNIDENTIFIABLE
+        assert spec.oracle.parameter_from_history(hist) is None
 
     def test_affine_recovers_from_default_excitation(self):
         spec = get_model("affine_2d")
@@ -100,9 +99,23 @@ class TestParameterOracle:
     def test_bilinear_needs_distinct_inputs(self):
         spec = get_model("bilinear_scalar")
         same = noise_free_history(spec.model, [1.0], [0.3, 0.3], [0.8, 0.3])
-        assert spec.oracle.parameter_from_history(same) is UNIDENTIFIABLE
+        assert spec.oracle.parameter_from_history(same) is None
         distinct = noise_free_history(spec.model, [1.0], spec.excitation, [0.8, 0.3])
         assert_allclose(spec.oracle.parameter_from_history(distinct), [0.8, 0.3], atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "name, transitions",
+        [("scalar_linear", 0), ("affine_2d", 0), ("bilinear_scalar", 0), ("affine_2d", 1), ("bilinear_scalar", 1)],
+    )
+    def test_too_short_history_unidentifiable(self, name, transitions):
+        # Each recovery formula needs one transition per parameter; fewer identify nothing.
+        spec = get_model(name)
+        model = spec.model
+        hist = noise_free_history(
+            model, np.ones(model.state_dim), np.full((transitions, model.input_dim), 0.5), model.param_upper
+        )
+        assert hist.horizon == transitions
+        assert spec.oracle.parameter_from_history(hist) is None
 
 
 class TestOraclePipelineAgreement:
@@ -135,7 +148,7 @@ class TestOraclePipelineAgreement:
                 x0 = rng.uniform(0.4, 1.6, model.state_dim)
                 hist = noise_free_history(model, x0, spec.excitation, theta_true)
                 recovered = spec.oracle.parameter_from_history(hist)
-                if recovered is UNIDENTIFIABLE:
+                if recovered is None:
                     continue
                 fitted = estimate(model, hist, model.clip_params(recovered), tol=1e-10)
                 assert_allclose(fitted.theta, recovered, atol=1e-8)

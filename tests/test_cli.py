@@ -11,11 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
 
 from regulate import get_model
 from regulate.cli import (
-    ExperimentConfig,
     ParseError,
     ValidationError,
     load_config,

@@ -453,6 +453,18 @@ class TestPlantModelDimensions:
         ref = simulate(AFFINE, [1.0, 0.0], seq([[0.5, 0.0], [0.0, 0.5]], dim=2), [0.5, 0.25]).states
         assert np.array_equal(bits(states), bits(ref))
 
+    @pytest.mark.parametrize(
+        "box", [[[np.nan, 2.0]], [[0.5, np.nan]], [[np.nan, np.nan]], [[0.5, np.inf]], [[-np.inf, 2.0]]]
+    )
+    def test_non_finite_param_box_rejected(self, box):
+        with pytest.raises(ValueError, match="param_box rows must be finite"):
+            PlantModel(1, 1, 1, SCALAR.transition, box, [0.0])
+
+    @pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_rejected(self, target):
+        with pytest.raises(ValueError, match="target must be finite"):
+            PlantModel(1, 1, 1, SCALAR.transition, [[0.5, 2.0]], [target])
+
 
 def reference_terminal_map(model, x0, u_hist, block, theta):
     """The history, then the block, each through its own ``simulate`` call."""

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,6 +12,7 @@ from regulate import (
     MaxInnerRetriesExceeded,
     ObservationHistory,
     RegulatorSchedule,
+    SolverOptions,
     SynthesisBounds,
     get_model,
     inclusion_check,
@@ -277,3 +280,52 @@ class TestScheduleType:
         values[field] = float("inf")
         with pytest.raises(ValueError, match=field):
             RegulatorSchedule(**values)
+
+
+class TestRunSettings:
+    """A run refuses, before any transition, the settings that the CLI refuses."""
+
+    @staticmethod
+    def untouched_model():
+        def transition(*_args):
+            raise AssertionError("the run did work before refusing its settings")
+
+        return dataclasses.replace(SCALAR.model, transition=transition)
+
+    def run(self, algorithm, x0=(1.0,), u_exc=SCALAR.excitation, **caps):
+        args = (self.untouched_model(), [0.8], list(x0), u_exc)
+        if algorithm == "exact":
+            return run_exact(*args, bounds_fn=lambda x: SCALAR.bounds, **caps)
+        return run_inexact(*args, RegulatorSchedule(0.5, 1.0, 1.0, 1e-3), bounds_fn=lambda x: SCALAR.bounds, **caps)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "0", None])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            SolverOptions(seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, np.int64(3), 2**70])
+    def test_integer_seeds_accepted(self, seed):
+        assert SolverOptions(seed=seed).seed == seed
+
+    @pytest.mark.parametrize("algorithm", ["exact", "inexact"])
+    @pytest.mark.parametrize("bad", [-1, 1.5, True])
+    def test_max_blocks_must_be_a_nonnegative_integer(self, algorithm, bad):
+        with pytest.raises(ValueError, match="max_blocks must be an integer >= 0"):
+            self.run(algorithm, max_blocks=bad)
+
+    @pytest.mark.parametrize("bad", [-1, 1.5, True])
+    def test_max_inner_retries_must_be_a_nonnegative_integer(self, bad):
+        with pytest.raises(ValueError, match="max_inner_retries must be an integer >= 0"):
+            self.run("inexact", max_inner_retries=bad)
+
+    @pytest.mark.parametrize("algorithm", ["exact", "inexact"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_x0_must_be_finite(self, algorithm, bad):
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            self.run(algorithm, x0=[bad])
+
+    @pytest.mark.parametrize("algorithm", ["exact", "inexact"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_excitation_must_be_finite(self, algorithm, bad):
+        with pytest.raises(ValueError, match="excitation must be finite"):
+            self.run(algorithm, u_exc=[[0.5], [bad]])

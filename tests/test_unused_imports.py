@@ -1,12 +1,14 @@
-"""Every name that a module of the library imports is used in it, listed in
-its ``__all__``, or imported on a line marked ``# noqa: F401``."""
+"""Every name that a module of the library, its tests, its tools or its
+benchmark harness imports is used in it, listed in its ``__all__``, or
+imported on a line marked ``# noqa: F401``. The files are only read."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "regulate"
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted(path for top in ("src/regulate", "tests", "tools", "perfbench") for path in (ROOT / top).rglob("*.py"))
 
 
 def unused_imports(path: Path) -> list:
@@ -26,10 +28,10 @@ def unused_imports(path: Path) -> list:
         for alias in node.names:
             name = alias.asname or alias.name.split(".")[0]
             if name not in used:
-                unused.append(f"{path.name}:{node.lineno}: {name}")
+                unused.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
     return unused
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_unused_import(path):
     assert unused_imports(path) == []
