@@ -41,7 +41,7 @@ class ObservationHistory:
     """The inputs applied from t=0 and the trajectory x(0), ..., x(T) they
     drove, as ``simulate`` returns it: one more state than inputs. A run builds
     one per control block from its whole trajectory, and grows none in place.
-    ``applied_inputs`` is kept recorded: a read-only copy with a replay memo."""
+    ``applied_inputs`` is kept recorded: a read-only copy with the history's memo."""
 
     applied_inputs: InputSequence
     trajectory: StateSequence

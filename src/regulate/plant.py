@@ -14,10 +14,12 @@ block, and through ``block_end_map`` ``jacobian_input``'s stencil and
 stencil point costs its transitions and no sequence objects.
 
 A recorded input sequence (``InputSequence.recorded``, as every observation
-history holds) has read-only inputs and a memo of its last
-``REPLAY_MEMO_SIZE`` replays, which ``replay`` looks up before it calls
-``simulate``; that rests on the purity ``PlantModel`` requires of
-``transition``.
+history holds) has read-only inputs and one ``HistoryMemo``: a
+least-recently-used table of at most ``MEMO_SIZE`` results per kind of work
+done on the history. ``replay`` looks a replay up there before it calls
+``simulate``; ``synthesize`` keeps its zero-start runs there and
+``inclusion_check`` its Lipschitz value at the estimate. All three rest on
+the purity ``PlantModel`` requires of ``transition``.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ Transition = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 # Relative step of every finite-difference stencil, scaled by max(1, |x_i|).
 FD_STEP = 1e-6
 
-# Replays a recorded input sequence keeps; the least recently used goes first.
-REPLAY_MEMO_SIZE = 16
+# Results each table of a history's memo keeps; the least recently used goes first.
+MEMO_SIZE = 16
 
 
 class RunFailure(RuntimeError):
@@ -116,14 +118,70 @@ class PlantModel:
         )
 
 
+def memo_key(value) -> tuple:
+    """The shape and bytes of value as a float array: two values have equal
+    keys only when they are equal bit for bit (so -0.0 and 0.0 differ)."""
+    arr = np.asarray(value, dtype=float)
+    return arr.shape, arr.tobytes()
+
+
+class MemoTable:
+    """At most ``MEMO_SIZE`` results, each keyed on a model's identity and a
+    key of the caller's; the least recently used goes first. An entry holds
+    its model, so no other model can take over the id while the entry lives."""
+
+    def __init__(self):
+        self._entries = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, model: "PlantModel", key):
+        """The result stored under model and key, or None."""
+        key = (id(model), key)
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        self._entries.move_to_end(key)
+        return entry[1]
+
+    def put(self, model: "PlantModel", key, value) -> None:
+        self._entries[(id(model), key)] = (model, value)
+        if len(self._entries) > MEMO_SIZE:
+            self._entries.popitem(last=False)
+
+
+class HistoryMemo:
+    """The work a recorded input sequence remembers, one table per kind:
+
+    - ``replays``: the read-only states of ``simulate`` from x0 under theta
+      (``replay``), keyed on x0 and theta;
+    - ``zero_starts``: ``synthesize``'s Gauss-Newton run from the zero block,
+      keyed on theta, the replayed start state, the horizon, the amplitude
+      and the tolerance; its ``x`` is a read-only copy of its own;
+    - ``lipschitz``: ``inclusion_check``'s spectral norm of the terminal
+      map's parameter Jacobian at the estimate, keyed on x0, the block's
+      start time and inputs, and the estimate.
+
+    Every key holds the model too, and arrays go in through ``memo_key``.
+    """
+
+    __slots__ = ("replays", "zero_starts", "lipschitz")
+
+    def __init__(self):
+        self.replays = MemoTable()
+        self.zero_starts = MemoTable()
+        self.lipschitz = MemoTable()
+
+
 @dataclass(frozen=True)
 class InputSequence:
     """Inputs u(t0), ..., u(t0+len-1) stored as one row per time step."""
 
     start_time: int
     inputs: np.ndarray
-    # The replay memo of a recorded sequence, None for any other (not a field).
-    _replays = None
+    # The HistoryMemo of a recorded sequence, None for any other (not a field).
+    memo = None
 
     def __post_init__(self):
         arr = np.asarray(self.inputs, dtype=float)
@@ -144,14 +202,15 @@ class InputSequence:
 
     def recorded(self) -> "InputSequence":
         """This sequence as a history records it: the inputs in a read-only copy
-        of its own, which nothing can change under the replay memo that the
-        copy carries (see ``replay``). A recorded sequence is returned as is."""
-        if self._replays is not None:
+        of its own, which nothing can change under the ``HistoryMemo`` that the
+        copy carries, so the memo dies with it. A recorded sequence is
+        returned as is."""
+        if self.memo is not None:
             return self
         inputs = self.inputs.copy()
         inputs.flags.writeable = False
         seq = InputSequence(self.start_time, inputs)
-        object.__setattr__(seq, "_replays", OrderedDict())
+        object.__setattr__(seq, "memo", HistoryMemo())
         return seq
 
 
@@ -256,28 +315,21 @@ def simulate(model: PlantModel, x0, u_seq: InputSequence, theta) -> StateSequenc
 def replay(model: PlantModel, x0, u_seq: InputSequence, theta) -> np.ndarray:
     """The states of ``simulate(model, x0, u_seq, theta)``.
 
-    A recorded sequence keeps them, read-only, in its memo of the last
-    REPLAY_MEMO_SIZE replays, keyed on the model's identity and on the shape
-    and bytes of x0 and theta (so -0.0 and 0.0 are different keys). A key
-    that is already there is served without calling ``simulate``, which a
-    pure ``transition`` makes exact.
+    A recorded sequence keeps them, read-only, in its memo's ``replays``
+    table, keyed on the model's identity and on the shape and bytes of x0
+    and theta (so -0.0 and 0.0 are different keys). A key that is already
+    there is served without calling ``simulate``, which a pure
+    ``transition`` makes exact.
     """
-    memo = u_seq._replays
+    memo = u_seq.memo
     if memo is None:
         return simulate(model, x0, u_seq, theta).states
-    x0_arr = np.asarray(x0, dtype=float)
-    theta_arr = np.asarray(theta, dtype=float)
-    key = (id(model), x0_arr.shape, x0_arr.tobytes(), theta_arr.shape, theta_arr.tobytes())
-    entry = memo.get(key)
-    if entry is not None:
-        memo.move_to_end(key)
-        return entry[1]
-    states = simulate(model, x0, u_seq, theta).states
-    states.flags.writeable = False
-    # The entry holds the model, so no other model can take over its id.
-    memo[key] = (model, states)
-    if len(memo) > REPLAY_MEMO_SIZE:
-        memo.popitem(last=False)
+    key = (memo_key(x0), memo_key(theta))
+    states = memo.replays.get(model, key)
+    if states is None:
+        states = simulate(model, x0, u_seq, theta).states
+        states.flags.writeable = False
+        memo.replays.put(model, key, states)
     return states
 
 

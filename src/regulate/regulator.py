@@ -15,7 +15,11 @@ near the estimate predicts a terminal state inside half the termination
 ball. That check samples ``PROBE_COUNT`` hypotheses and demands a margin of
 ``SAFETY`` on its Lipschitz bound; it fails at once, before any probe, when
 the estimate's own Jacobian already breaks that bound, as most failing
-checks do.
+checks do. The retries of a block mostly return the same estimate, so the
+history's memo serves each retry at a repeated estimate the history's replay,
+``synthesize``'s zero-block runs and the Lipschitz value at the estimate; such
+a retry still pays for its new random synthesis starts and, when the
+Lipschitz test passes, for its probes.
 
 Every way a run can stop short is a ``RunFailure``: a safety cap raises a
 ``RegulatorError``, a subsolver a ``NotConverged`` or an ``Infeasible``. Each
@@ -41,6 +45,7 @@ from .plant import (
     as_inputs,
     excitation_rank_check,
     fd_jacobian,
+    memo_key,
     simulate,
     terminal_map,
 )
@@ -146,6 +151,9 @@ def inclusion_check(
     and all samples pass. When the Jacobian at the estimate alone already
     fails that test, returns False before any nominal or probe evaluation;
     the probes' RNG is local to the call, so skipping them moves no stream.
+    The Lipschitz value at the estimate is looked up in the history's memo
+    (``HistoryMemo.lipschitz``) first, keyed on x(0), the block and the
+    estimate; the probes always run.
     """
     if not radius >= 0:
         raise ValueError("radius must be nonnegative")
@@ -163,7 +171,13 @@ def inclusion_check(
         sv = np.linalg.svd(jac, compute_uv=False)
         return float(sv[0]) if sv.size else 0.0
 
-    lipschitz = spectral(theta)
+    lipschitz_memo = history.applied_inputs.memo.lipschitz
+    block = plan.block
+    key = (memo_key(history.x0), block.start_time, memo_key(block.inputs), memo_key(theta))
+    lipschitz = lipschitz_memo.get(model, key)
+    if lipschitz is None:
+        lipschitz = spectral(theta)
+        lipschitz_memo.put(model, key, lipschitz)
     # The probes can only raise the Lipschitz estimate, so this already decides.
     if lipschitz * radius * SAFETY > bound:
         return False
@@ -223,7 +237,7 @@ def _run_blocks(model, theta_true, x0, u_exc, bounds_fn, solver, max_blocks, *, 
             return float(np.linalg.norm(history.trajectory.states[-1] - model.target))
 
         def outcome(terminated):
-            # The read-only inputs without the history's replay memo, which a
+            # The read-only inputs without the history's memo, which a
             # failure's partial outcome would otherwise keep alive.
             inputs = InputSequence(0, history.applied_inputs.inputs)
             return RunOutcome(terminated, tuple(blocks), history.trajectory, inputs, error())

@@ -3,16 +3,22 @@
 Searches for the shortest input block within the configured horizon and
 amplitude bounds that drives the predicted terminal state onto the target,
 running Gauss-Newton from ``MULTISTART_COUNT`` starts at each horizon.
+
+The run from the zero block depends on no seed, so the history's memo keeps
+it (``HistoryMemo.zero_starts``): a retry that asks for the same horizon,
+amplitude and tolerance at the same estimate takes it from there. The
+retry still draws and runs its seeded random starts, so the seed stream and
+the plan are what they would be without the memo.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimator import ObservationHistory
 from .gauss_newton import box_gauss_newton
-from .plant import InputSequence, PlantModel, RunFailure, block_end_map, jacobian_input, replay
+from .plant import InputSequence, PlantModel, RunFailure, block_end_map, jacobian_input, memo_key, replay
 # Not called here; kept importable under this module's name, where the
 # benchmark's span tracer looks them up.
 from .plant import simulate, terminal_map  # noqa: F401
@@ -67,6 +73,9 @@ def synthesize(
 
     Every candidate block runs through the plant's ``block_end_map``, which
     checks x and theta once per horizon, without a ``simulate`` call of its own.
+    The zero-block run of each horizon is looked up in the history's memo
+    first. The memo stores a read-only copy of the run's ``x``, so no plan
+    can change an entry through its block.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -76,6 +85,9 @@ def synthesize(
     x_here = replay(model, history.x0, history.applied_inputs, theta)[-1]
     rng = np.random.default_rng(seed)
     rho = bounds.max_amplitude
+    zero_starts = history.applied_inputs.memo.zero_starts
+    # All a zero-block run depends on besides the model and its horizon.
+    problem = (memo_key(theta), memo_key(x_here), float(rho), float(tol))
 
     for horizon in range(1, bounds.max_horizon + 1):
         dim = model.input_dim * horizon
@@ -94,14 +106,16 @@ def synthesize(
         def jac(u_flat):
             return jacobian_input(model, x_here, block_of(u_flat), theta)
 
-        starts = [np.zeros(dim)]
-        for _ in range(MULTISTART_COUNT - 1):
-            starts.append(rng.uniform(-rho, rho, size=dim))
-        winners = []
-        for s in starts:
-            run = box_gauss_newton(res, jac, s, lower, upper, tol)
-            if run.residual_norm < tol:
-                winners.append(run)
+        starts = [rng.uniform(-rho, rho, size=dim) for _ in range(MULTISTART_COUNT - 1)]
+        key = (horizon,) + problem
+        zero = zero_starts.get(model, key)
+        if zero is None:
+            zero = box_gauss_newton(res, jac, np.zeros(dim), lower, upper, tol)
+            x = zero.x.copy()
+            x.flags.writeable = False
+            zero_starts.put(model, key, replace(zero, x=x))
+        runs = [zero] + [box_gauss_newton(res, jac, s, lower, upper, tol) for s in starts]
+        winners = [run for run in runs if run.residual_norm < tol]
         if winners:
             # A run's residual_norm is ||res(run.x)||: the plan's predicted error.
             best = min(winners, key=lambda run: float(np.linalg.norm(run.x)))

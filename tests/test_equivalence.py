@@ -6,9 +6,11 @@ loop ``_advance`` without a ``simulate`` call, and ``fd_jacobian`` skips the
 centre point a central difference never uses. ``run_exact`` and
 ``run_inexact`` share one block loop over a run log kept as an
 ``ObservationHistory``. ``box_gauss_newton``, ``estimate`` and
-``inclusion_check`` skip evaluations whose outcome they already hold. All of
-them must reproduce the straightforward versions kept here bit for bit: every
-state, Jacobian entry, solver result, block record, exception and CSV byte.
+``inclusion_check`` skip evaluations whose outcome they already hold, and
+``synthesize`` and ``inclusion_check`` take what a retry repeats from the
+history's memo. All of them must reproduce the straightforward versions kept
+here bit for bit: every state, Jacobian entry, solver result, block record,
+exception and CSV byte.
 """
 
 import dataclasses
@@ -45,7 +47,7 @@ from regulate.estimator import MULTISTART_GRID, EstimateResult, _lex_key, residu
 from regulate.gauss_newton import MAX_ITERS, MIN_STEP, POLISH_ITERS, GaussNewtonResult, box_gauss_newton
 from regulate.plant import InputSequence, StateSequence, _vector, as_inputs
 from regulate.regulator import PROBE_COUNT, SAFETY
-from regulate.synthesis import ControlPlan
+from regulate.synthesis import MULTISTART_COUNT, ControlPlan
 
 PLANTS = ("scalar_linear", "affine_2d", "bilinear_scalar")
 
@@ -593,7 +595,9 @@ def test_rank_check_warning_names_the_caller(runner):
 
 # The solvers as they were before their work cuts: every line-search
 # candidate is evaluated, the grid start equal to the first start runs again,
-# and the inclusion check runs its probes before its Lipschitz test.
+# the synthesis solves every start of every horizon anew, and the inclusion
+# check computes its Lipschitz value and runs its probes before its
+# Lipschitz test.
 
 def reference_box_gauss_newton(residual, jacobian, x0, lower, upper, tol):
     x = np.clip(np.asarray(x0, dtype=float), lower, upper)
@@ -700,6 +704,37 @@ def reference_inclusion_check(model, history, theta, plan, radius, bound, seed=0
         if float(np.linalg.norm(terminal(point) - nominal)) >= bound:
             return False
     return lipschitz * radius * SAFETY <= bound
+
+
+def reference_synthesize(model, history, theta, bounds, tol, seed=0):
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    x_here = plant.simulate(model, history.x0, history.applied_inputs, theta).states[-1]
+    rng = np.random.default_rng(seed)
+    rho = bounds.max_amplitude
+    for horizon in range(1, bounds.max_horizon + 1):
+        dim = model.input_dim * horizon
+        lower, upper = np.full(dim, -rho), np.full(dim, rho)
+
+        def block_of(u_flat, horizon=horizon):
+            return InputSequence(history.horizon, u_flat.reshape(horizon, model.input_dim))
+
+        def res(u_flat):
+            return plant.terminal_map(model, history.x0, history.applied_inputs, block_of(u_flat), theta) - model.target
+
+        def jac(u_flat):
+            return plant.jacobian_input(model, x_here, block_of(u_flat), theta)
+
+        starts = [np.zeros(dim)] + [rng.uniform(-rho, rho, size=dim) for _ in range(MULTISTART_COUNT - 1)]
+        runs = [reference_box_gauss_newton(res, jac, s, lower, upper, tol) for s in starts]
+        winners = [run for run in runs if run.residual_norm < tol]
+        if winners:
+            best = min(winners, key=lambda run: float(np.linalg.norm(run.x)))
+            return ControlPlan(horizon, block_of(best.x), best.residual_norm)
+    raise Infeasible(
+        f"no block of horizon <= {bounds.max_horizon} with amplitude <= {rho} "
+        f"reaches the target within {tol}"
+    )
 
 
 def bits(value):
@@ -870,10 +905,52 @@ def test_inclusion_check_matches_reference(name):
     assert sum(isinstance(r, ValueError) for r in results) == 2
 
 
+def _retry_calls(name, rng):
+    """(theta, bounds, tol, seed) of synthesis calls on one history as a
+    block's retries make them: mostly the same estimate, bounds and tolerance
+    with a new seed, and now and then another tolerance, amplitude, horizon
+    cap or estimate, or an estimate that comes back."""
+    spec = get_model(name)
+    model, bounds = spec.model, spec.bounds
+    thetas = [rng.uniform(model.param_lower, model.param_upper) for _ in range(2)]
+    capped = SynthesisBounds(1, bounds.max_amplitude)
+    narrow = SynthesisBounds(bounds.max_horizon, bounds.max_amplitude / 4)
+    keys = [(0, bounds, 5e-4)] * 3 + [(0, bounds, 1e-9), (0, capped, 5e-4), (0, bounds, 5e-4),
+                                      (1, bounds, 5e-4), (0, narrow, 5e-4), (0, bounds, 5e-4), (1, bounds, 5e-4)]
+    return [(thetas[i], b, tol, int(rng.integers(2**63))) for i, b, tol in keys]
+
+
+@pytest.mark.parametrize("name", PLANTS)
+def test_synthesize_retries_match_reference(name, monkeypatch):
+    import regulate.synthesis
+
+    rng = np.random.default_rng([22, 6, PLANTS.index(name)])
+    model = get_model(name).model
+    runs = []
+    monkeypatch.setattr(regulate.synthesis, "box_gauss_newton", lambda *args: runs.append(1) or box_gauss_newton(*args))
+    # The reference runs every start at each horizon it tries.
+    reference_runs = 0
+    for T in (0, 4, 40):
+        history = _history(model, rng, T, CASES[name][0], CASES[name][1], 0.5)
+        for i, (theta, bounds, tol, seed) in enumerate(_retry_calls(name, rng)):
+            new = _result_or_error(lambda: synthesize(model, history, theta, bounds, tol, seed))
+            ref = _result_or_error(lambda: reference_synthesize(model, history, theta, bounds, tol, seed))
+            if isinstance(ref, Exception):
+                assert type(new) is type(ref) and str(new) == str(ref), (name, T, i, new, ref)
+                reference_runs += MULTISTART_COUNT * bounds.max_horizon
+            else:
+                assert new.horizon == ref.horizon, (name, T, i)
+                assert_same_bits(new.block.inputs, ref.block.inputs, (name, T, i))
+                assert_same_bits(new.predicted_terminal_error, ref.predicted_terminal_error, (name, T, i))
+                reference_runs += MULTISTART_COUNT * ref.horizon
+    assert 0 < len(runs) < reference_runs
+
+
 SOLVER_REFERENCES = {
     "regulate.estimator.box_gauss_newton": reference_box_gauss_newton,
     "regulate.synthesis.box_gauss_newton": reference_box_gauss_newton,
     "regulate.regulator.estimate": reference_estimate,
+    "regulate.regulator.synthesize": reference_synthesize,
     "regulate.regulator.inclusion_check": reference_inclusion_check,
 }
 

@@ -186,7 +186,7 @@ class TestReplayMemo:
         states = np.vstack([hist.trajectory.states, [[1.632]]])
         longer = ObservationHistory(InputSequence(0, inputs), StateSequence(0, states))
         assert not longer.applied_inputs.inputs.flags.writeable
-        assert longer.applied_inputs._replays == {}
+        assert len(longer.applied_inputs.memo.replays) == 0
 
     def test_each_theta_replays_the_history_at_most_once(self, monkeypatch):
         # One inner retry of the inexact loop, twice: estimate, synthesize and
@@ -194,7 +194,7 @@ class TestReplayMemo:
         # tolerance from the first estimate. The first estimate starts near
         # the truth, as from a previous block's estimate, so that no restart
         # grid runs: its starts would fill the memo with more than
-        # REPLAY_MEMO_SIZE other points. Every replay of the history from x(0)
+        # MEMO_SIZE other points. Every replay of the history from x(0)
         # goes through simulate in one of these modules.
         spec = get_model("affine_2d")
         rng = np.random.default_rng(4)

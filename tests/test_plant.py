@@ -19,7 +19,7 @@ from regulate import (
     step,
     terminal_map,
 )
-from regulate.plant import REPLAY_MEMO_SIZE, as_inputs, block_end_map, fd_jacobian, replay
+from regulate.plant import MEMO_SIZE, as_inputs, block_end_map, fd_jacobian, replay
 
 SCALAR = get_model("scalar_linear").model
 AFFINE = get_model("affine_2d").model
@@ -173,7 +173,7 @@ class TestReplayMemo:
         assert np.array_equal(bits(pos), bits(simulate(SCALAR, [1.0], u, [0.0]).states))
         assert np.array_equal(bits(neg), bits(simulate(SCALAR, [1.0], u, [-0.0]).states))
         assert not np.array_equal(bits(pos), bits(neg))
-        assert len(u._replays) == 2
+        assert len(u.memo.replays) == 2
 
     def test_other_x0_or_model_never_gets_another_keys_entry(self):
         u = seq([0.5, -0.25, 1.0]).recorded()
@@ -203,15 +203,15 @@ class TestReplayMemo:
         assert not stacked_map(model, [1.0], u, [0.8]).flags.writeable
         with pytest.raises(ValueError):
             hit[0, 0] = 5.0
-        for theta in np.linspace(0.5, 2.0, 3 * REPLAY_MEMO_SIZE):
+        for theta in np.linspace(0.5, 2.0, 3 * MEMO_SIZE):
             replay(model, [1.0], u, [theta])
-            assert len(u._replays) <= REPLAY_MEMO_SIZE
-        assert len(u._replays) == REPLAY_MEMO_SIZE
+            assert len(u.memo.replays) <= MEMO_SIZE
+        assert len(u.memo.replays) == MEMO_SIZE
         # The least recently used entry went first: 0.8 is gone, the last theta is not.
         replay(model, [1.0], u, [2.0])
-        assert len(calls) == 2 + 3 * 2 * REPLAY_MEMO_SIZE
+        assert len(calls) == 2 + 3 * 2 * MEMO_SIZE
         replay(model, [1.0], u, [0.8])
-        assert len(calls) == 2 + 3 * 2 * REPLAY_MEMO_SIZE + 2
+        assert len(calls) == 2 + 3 * 2 * MEMO_SIZE + 2
 
     def test_a_plain_sequence_is_not_memoized(self):
         model, calls = counting(SCALAR)

@@ -20,7 +20,8 @@ from regulate import (
     run_inexact,
     simulate,
 )
-from regulate.plant import StateSequence, as_inputs
+from regulate.plant import InputSequence, StateSequence, as_inputs
+from regulate.regulator import PROBE_COUNT
 
 SCALAR = get_model("scalar_linear")
 AFFINE = get_model("affine_2d")
@@ -58,6 +59,89 @@ class TestInclusionCheck:
             inclusion_check(model, hist, [1.25], plan, radius=radius, bound=1.0)
         with pytest.raises(ValueError):
             inclusion_check(model, hist, [1.25], plan, radius=1.0, bound=0.0)
+
+
+def counting(model):
+    calls = []
+
+    def transition(x, u, theta):
+        calls.append(1)
+        return model.transition(x, u, theta)
+
+    return dataclasses.replace(model, transition=transition), calls
+
+
+def record_stencils(monkeypatch):
+    """The point of every finite-difference Jacobian that ``inclusion_check`` takes."""
+    points = []
+    fd = regulate.regulator.fd_jacobian
+
+    def recorded(func, x, *args, **kwargs):
+        points.append(np.asarray(x, dtype=float).tobytes())
+        return fd(func, x, *args, **kwargs)
+
+    monkeypatch.setattr(regulate.regulator, "fd_jacobian", recorded)
+    return points
+
+
+class TestLipschitzMemo:
+    """A retry at a known estimate and block takes the Lipschitz value at the
+    estimate from the history's memo; its probes still run."""
+
+    # The terminal map of the bilinear plant from x(0) = 1 under u = 0.5, then
+    # a block of 0.2; its slope in theta is above 1, so a radius of 0.1 with a
+    # bound of 0.01 fails at the estimate and one of 1e-4 passes.
+    @staticmethod
+    def setup():
+        model = BILINEAR.model
+        u = as_inputs([0.5], 1)
+        hist = ObservationHistory(u, simulate(model, [1.0], u, [0.8, 0.3]))
+        plan = ControlPlan(1, as_inputs([0.2], 1, start_time=1), 0.0)
+        return model, hist, np.array([0.8, 0.3]), plan
+
+    def test_repeated_key_runs_no_stencil_at_the_estimate(self, monkeypatch):
+        points = record_stencils(monkeypatch)
+        base, hist, theta, plan = self.setup()
+        model, calls = counting(base)
+        assert not inclusion_check(model, hist, theta, plan, 0.1, 0.01, seed=1)
+        assert points == [theta.tobytes()] and calls
+        del points[:], calls[:]
+        # A failing retry now runs no transition at all.
+        assert not inclusion_check(model, hist, theta, plan, 0.05, 0.01, seed=2)
+        assert points == [] and calls == []
+        # A passing one runs only its probes' stencils.
+        assert inclusion_check(model, hist, theta, plan, 1e-4, 0.01, seed=3)
+        assert len(points) == PROBE_COUNT and theta.tobytes() not in points
+
+    @pytest.mark.parametrize("change", ["block", "theta", "signed zero", "model", "x0"])
+    def test_changed_key_misses(self, monkeypatch, change):
+        model, hist, theta, plan = self.setup()
+        if change == "signed zero":
+            theta = np.array([0.8, 0.0])
+        first = (model, hist, theta, plan)
+        second = {
+            "block": (model, hist, theta, ControlPlan(1, as_inputs([0.3], 1, start_time=1), 0.0)),
+            "theta": (model, hist, np.array([0.8, 0.25]), plan),
+            "signed zero": (model, hist, np.array([0.8, -0.0]), plan),
+            "model": (dataclasses.replace(model), hist, theta, plan),
+            # Another trajectory over the same recorded inputs shares the memo.
+            "x0": (model, ObservationHistory(hist.applied_inputs, StateSequence(0, [[2.0], [2.5]])), theta, plan),
+        }[change]
+        points = record_stencils(monkeypatch)
+        inclusion_check(*first, 0.1, 0.01)
+        del points[:]
+        result = inclusion_check(*second, 0.1, 0.01)
+        assert points[:1] == [second[2].tobytes()]
+        # The same check on a history with a memo of its own.
+        fresh = ObservationHistory(InputSequence(0, second[1].applied_inputs.inputs), second[1].trajectory)
+        assert result is inclusion_check(second[0], fresh, *second[2:], 0.1, 0.01)
+
+    def test_block_at_another_start_is_refused_again(self):
+        model, hist, theta, plan = self.setup()
+        assert not inclusion_check(model, hist, theta, plan, 0.1, 0.01)
+        late = ControlPlan(1, as_inputs([0.2], 1, start_time=2), 0.0)
+        with pytest.raises(ValueError, match="block must start at time 1"):
+            inclusion_check(model, hist, theta, late, 0.1, 0.01)
 
 
 class TestRunExact:
@@ -133,8 +217,8 @@ class TestRunExact:
         assert excinfo.value.block_index == 1
         partial = excinfo.value.partial_outcome
         assert not partial.terminated
-        # The estimate replayed the history, but the log keeps no replay memo.
-        assert partial.inputs._replays is None and not partial.inputs.inputs.flags.writeable
+        # The estimate replayed the history, but the log keeps no memo.
+        assert partial.inputs.memo is None and not partial.inputs.inputs.flags.writeable
 
 
 class TestRunInexact:

@@ -211,8 +211,12 @@ class TestLeanSynthesis:
         with np.errstate(all="ignore"):
             for i, (base, history, theta, bounds) in enumerate(self._cases()):
                 model, calls = counting(base)
+                # Each side gets a history of its own, so neither takes the
+                # other's zero-block runs from a shared memo.
+                twin = ObservationHistory(InputSequence(0, history.applied_inputs.inputs), history.trajectory)
                 # Both runs then take the history's replay from its memo.
-                replay(model, history.x0, history.applied_inputs, theta)
+                for h in (history, twin):
+                    replay(model, h.x0, h.applied_inputs, theta)
                 del calls[:]
                 lean = _plan_or_error(model, history, theta, bounds, seed=i)
                 lean_calls = len(calls)
@@ -220,7 +224,7 @@ class TestLeanSynthesis:
                 with monkeypatch.context() as m:
                     m.setattr(synthesis, "block_end_map", simulate_block_end_map)
                     m.setattr(synthesis, "jacobian_input", simulate_jacobian_input)
-                    ref = _plan_or_error(model, history, theta, bounds, seed=i)
+                    ref = _plan_or_error(model, twin, theta, bounds, seed=i)
                 assert lean_calls == len(calls) > 0, i
                 if isinstance(ref, str):
                     assert lean == ref, i
@@ -267,3 +271,100 @@ class TestLeanSynthesis:
         model = SCALAR_SPEC.model
         with pytest.raises(DimensionMismatch, match="theta"):
             synthesize(model, blank_history(model, [1.0]), [0.8, 0.1], SCALAR_SPEC.bounds, tol=1e-9)
+
+
+def record_starts(monkeypatch):
+    """The start of every Gauss-Newton run that ``synthesize`` makes."""
+    starts = []
+    solve = synthesis.box_gauss_newton
+
+    def recorded(residual, jacobian, x0, *args):
+        starts.append(np.array(x0, dtype=float))
+        return solve(residual, jacobian, x0, *args)
+
+    monkeypatch.setattr(synthesis, "box_gauss_newton", recorded)
+    return starts
+
+
+def zero_runs(starts):
+    return sum(not start.any() for start in starts)
+
+
+class TestZeroStartMemo:
+    """A retry that asks a history's synthesis problem again takes each
+    horizon's zero-block run from the history's memo, and draws and runs its
+    seeded starts as before."""
+
+    # From (1, 1) the affine plant needs two steps: horizons 1 and 2 are tried.
+    @staticmethod
+    def base():
+        model = AFFINE_SPEC.model
+        return model, blank_history(model, [1.0, 1.0]), np.array([0.5, 0.25]), AFFINE_SPEC.bounds, 1e-9
+
+    def _second_call_zero_runs(self, monkeypatch, first, second):
+        starts = record_starts(monkeypatch)
+        for seed, args in enumerate((first, second)):
+            del starts[:]
+            try:
+                synthesize(*args, seed=seed)
+            except Infeasible:
+                pass
+        return zero_runs(starts)
+
+    def test_repeated_key_runs_no_zero_start(self, monkeypatch):
+        starts = record_starts(monkeypatch)
+        model, calls = counting(AFFINE_SPEC.model)
+        _, history, theta, bounds, tol = self.base()
+        first = synthesize(model, history, theta, bounds, tol, seed=1)
+        assert first.horizon == 2
+        assert zero_runs(starts) == 2 and len(starts) == 2 * synthesis.MULTISTART_COUNT
+        first_calls = len(calls)
+        del starts[:], calls[:]
+        # The same seed runs the same random starts, so only the zero-block
+        # runs' transitions are saved.
+        again = synthesize(model, history, theta, bounds, tol, seed=1)
+        assert again.horizon == 2 and np.array_equal(bits(again.block.inputs), bits(first.block.inputs))
+        assert zero_runs(starts) == 0 and len(starts) == 2 * (synthesis.MULTISTART_COUNT - 1)
+        assert 0 < len(calls) < first_calls
+
+    @pytest.mark.parametrize("change", ["tol", "amplitude", "theta", "model", "x0"])
+    def test_changed_key_misses(self, monkeypatch, change):
+        model, history, theta, bounds, tol = first = self.base()
+        second = {
+            "tol": (model, history, theta, bounds, 1e-10),
+            "amplitude": (model, history, theta, SynthesisBounds(3, 0.8), tol),
+            "theta": (model, history, np.array([0.5, 0.3]), bounds, tol),
+            "model": (dataclasses.replace(model), history, theta, bounds, tol),
+            # Another trajectory over the same recorded inputs shares the memo.
+            "x0": (model, ObservationHistory(history.applied_inputs, StateSequence(0, [[2.0, 1.0]])),
+                   theta, bounds, tol),
+        }[change]
+        assert self._second_call_zero_runs(monkeypatch, first, second) == 2
+
+    def test_signed_zero_theta_misses(self, monkeypatch):
+        spec = get_model("bilinear_scalar")
+        history = blank_history(spec.model, [1.0])
+        first = (spec.model, history, np.array([0.8, 0.0]), spec.bounds, 1e-9)
+        second = (spec.model, history, np.array([0.8, -0.0]), spec.bounds, 1e-9)
+        assert self._second_call_zero_runs(monkeypatch, first, second) == 1
+        assert self._second_call_zero_runs(monkeypatch, second, second) == 0
+
+    def test_changed_horizon_misses(self, monkeypatch):
+        # A cap of 1 is infeasible; with a cap of 3 the run at horizon 1 comes
+        # from the memo and the one at horizon 2 is new.
+        model, history, theta, bounds, tol = self.base()
+        capped = SynthesisBounds(1, bounds.max_amplitude)
+        runs = self._second_call_zero_runs(
+            monkeypatch, (model, history, theta, capped, tol), (model, history, theta, bounds, tol)
+        )
+        assert runs == 1
+
+    def test_a_plan_cannot_change_the_memo(self):
+        model, history, theta, bounds, tol = self.base()
+        first = synthesize(model, history, theta, bounds, tol, seed=1)
+        original = bits(first.block.inputs).copy()
+        first.block.inputs[...] = 99.0
+        again = synthesize(model, history, theta, bounds, tol, seed=2)
+        assert np.array_equal(bits(again.block.inputs), original)
+        # The repeat's plan is the memo's zero-block run, kept read-only.
+        assert not again.block.inputs.flags.writeable

@@ -22,7 +22,12 @@ so far:
   quartiles (inclusive method), how many pairs the change won and lost (by the
   metric's direction in ``BENCHMARK.json``), the relative worsening of the
   median and the metric's bound, from the pairs where both runs succeeded;
-  plus ``correct_all`` and the failed runs per side.
+  plus ``correct_all``, the failed runs per side, ``counts_that_differ`` (the
+  metrics in unit ``count`` whose parent and change medians differ) and
+  ``missing_metrics`` (each metric that a run of the section should report,
+  by ``BENCHMARK.json`` the end-to-end ones untraced and the per-layer ones
+  traced, or that some run reports, and that a run of either side lacks or
+  reports as null).
 
 The record names the code each side ran: ``parent_sha`` and ``change_sha``
 (the checkout's git HEAD, null outside a git repository) and ``src_sha256``,
@@ -74,11 +79,6 @@ def _src_sha256(checkout: Path) -> str:
     return digest.hexdigest()
 
 
-def _directions() -> dict:
-    return {m["name"]: (m["better"], m.get("bound"))
-            for m in SPEC["end_to_end"] + SPEC["per_layer"]}
-
-
 def _run_once(checkout: Path, command: list, timeout: float) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     try:
@@ -113,8 +113,10 @@ def _quartiles(values):
     return [q[0], q[2]]
 
 
-def _summarize(runs, directions) -> dict:
-    """Per-workload pair statistics of one section's runs."""
+def _summarize(runs, spec) -> dict:
+    """Per-workload pair statistics of one section's runs, judged by the
+    metric declarations of ``spec`` (a parsed ``BENCHMARK.json``)."""
+    declared = {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
@@ -122,15 +124,20 @@ def _summarize(runs, directions) -> dict:
         for r in mine:
             by_pair.setdefault(r["pair"], {})[r["side"]] = _parse(r["result_line"]) if r["exit_code"] == 0 else None
         results = [pair for _, pair in sorted(by_pair.items()) if all(pair.get(side) for side in SIDES)]
+        reported = [p[side]["metrics"] for p in results for side in SIDES]
+        expected = [m["name"] for m in spec["per_layer" if mine[0]["trace"] else "end_to_end"]]
+        names = list(dict.fromkeys(expected + [name for metrics in reported for name in metrics]))
+        missing = [name for name in names if not reported or any(
+            metrics.get(name, {}).get("value") is None for metrics in reported)]
         entry = {}
-        names = list(results[0]["parent"]["metrics"]) if results else []
+        counts_that_differ = []
         for name in names:
-            better, bound = directions.get(name, ("lower", None))
-            sign = 1.0 if better == "lower" else -1.0
+            if name in missing:
+                continue
+            metric = declared.get(name, {})
+            sign = 1.0 if metric.get("better", "lower") == "lower" else -1.0
             parent = [p["parent"]["metrics"][name]["value"] for p in results]
             change = [p["change"]["metrics"][name]["value"] for p in results]
-            if any(v is None for v in parent + change):
-                continue
             p_med, c_med = statistics.median(parent), statistics.median(change)
             entry[name] = {
                 "parent_median": p_med,
@@ -141,12 +148,17 @@ def _summarize(runs, directions) -> dict:
                 "change_worse_pairs": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
                 "pairs": len(results),
                 "relative_worsening_of_median": sign * (c_med - p_med) / p_med if p_med else None,
-                "bound": bound,
+                "bound": metric.get("bound"),
             }
+            unit = metric.get("unit", results[0]["parent"]["metrics"][name].get("unit"))
+            if unit == "count" and p_med != c_med:
+                counts_that_differ.append(name)
         entry["correct_all"] = bool(results) and all(
             p[side]["correct"] for p in results for side in SIDES)
         entry["failed_runs"] = {side: sum(1 for r in mine if r["side"] == side and (
             r["exit_code"] != 0 or _parse(r["result_line"]) is None)) for side in SIDES}
+        entry["counts_that_differ"] = counts_that_differ
+        entry["missing_metrics"] = missing
         summary[workload] = entry
     return summary
 
@@ -191,7 +203,6 @@ def main(argv=None) -> int:
         f"python3 {command[1]} --workload W --seed {args.seed} "
         f"--seconds {RUN_SECONDS:g} --trace {args.trace}, run alternately from the parent and "
         "the change checkout; pair i runs the parent first when i is even")
-    directions = _directions()
     start = 1 + max((r["pair"] for r in record["runs"]
                      if r["section"] == section and r["workload"] == args.workload), default=-1)
     timeout = 30 * RUN_SECONDS + 600
@@ -203,7 +214,7 @@ def main(argv=None) -> int:
             run.update(_run_once(dirs[side], command, timeout))
             record["runs"].append(run)
             mine = [r for r in record["runs"] if r["section"] == section]
-            record[section]["summary"] = _summarize(mine, directions)
+            record[section]["summary"] = _summarize(mine, SPEC)
             out_path.write_text(json.dumps(record, indent=1) + "\n")
             print(f"pair {pair} {side}: exit {run['exit_code']} {run['summary_line'] or ''}",
                   flush=True)
